@@ -41,10 +41,8 @@ std::vector<SeqNo> get_ack(ByteReader& r, SeqNo base) {
   for (auto& a : ack) a = unzigzag_delta(r.varint(), base);
   return ack;
 }
-}  // namespace
 
-std::vector<std::uint8_t> encode(const CoPdu& pdu) {
-  ByteWriter w;
+void put(ByteWriter& w, const CoPdu& pdu) {
   w.u8(kTagData);
   w.u32(pdu.cid);
   w.varint(static_cast<std::uint64_t>(pdu.src));
@@ -60,11 +58,9 @@ std::vector<std::uint8_t> encode(const CoPdu& pdu) {
     w.varint(pdu.dst);
   }
   w.bytes(pdu.data);
-  return w.take();
 }
 
-std::vector<std::uint8_t> encode(const RetPdu& pdu) {
-  ByteWriter w;
+void put(ByteWriter& w, const RetPdu& pdu) {
   w.u8(kTagRet);
   w.u32(pdu.cid);
   w.varint(static_cast<std::uint64_t>(pdu.src));
@@ -72,16 +68,19 @@ std::vector<std::uint8_t> encode(const RetPdu& pdu) {
   w.varint(pdu.lseq);
   put_ack(w, pdu.ack, pdu.lseq);
   w.varint(pdu.buf);
-  return w.take();
 }
 
-std::vector<std::uint8_t> encode(const Message& msg) {
-  if (const auto* ref = std::get_if<PduRef>(&msg)) return encode(**ref);
-  return encode(std::get<RetPdu>(msg));
+void put(ByteWriter& w, const Message& msg) {
+  if (const auto* ref = std::get_if<PduRef>(&msg))
+    put(w, **ref);
+  else
+    put(w, std::get<RetPdu>(msg));
 }
 
-Message decode(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
+// Reads exactly one message and leaves `r` just past it: every encoding is
+// self-delimiting (a data PDU ends in its length-prefixed payload, a RET in
+// its BUF varint), which is what lets a frame concatenate them.
+Message read_message(ByteReader& r) {
   const std::uint8_t tag = r.u8();
   if (tag == kTagData) {
     CoPdu p;
@@ -99,7 +98,6 @@ Message decode(std::span<const std::uint8_t> bytes) {
       throw std::runtime_error("wire: bad destination flag");
     }
     p.data = r.bytes();
-    if (!r.exhausted()) throw std::runtime_error("wire: trailing bytes");
     return Message(PduRef(std::move(p)));
   }
   if (tag == kTagRet) {
@@ -110,10 +108,41 @@ Message decode(std::span<const std::uint8_t> bytes) {
     p.lseq = r.varint();
     p.ack = get_ack(r, p.lseq);
     p.buf = static_cast<BufUnits>(r.varint());
-    if (!r.exhausted()) throw std::runtime_error("wire: trailing bytes");
     return Message(std::move(p));
   }
   throw std::runtime_error("wire: unknown message tag");
+}
+}  // namespace
+
+std::vector<std::uint8_t> encode(const CoPdu& pdu) {
+  ByteWriter w;
+  put(w, pdu);
+  return w.take();
+}
+
+std::vector<std::uint8_t> encode(const RetPdu& pdu) {
+  ByteWriter w;
+  put(w, pdu);
+  return w.take();
+}
+
+std::vector<std::uint8_t> encode(const Message& msg) {
+  ByteWriter w;
+  put(w, msg);
+  return w.take();
+}
+
+void encode_append(const Message& msg, std::vector<std::uint8_t>& frame) {
+  ByteWriter w(std::move(frame));
+  put(w, msg);
+  frame = w.take();
+}
+
+Message decode(std::span<const std::uint8_t> bytes) {
+  ByteReader r(bytes);
+  Message msg = read_message(r);
+  if (!r.exhausted()) throw std::runtime_error("wire: trailing bytes");
+  return msg;
 }
 
 std::optional<Message> try_decode(std::span<const std::uint8_t> bytes) noexcept {
@@ -121,6 +150,21 @@ std::optional<Message> try_decode(std::span<const std::uint8_t> bytes) noexcept 
     return decode(bytes);
   } catch (const std::exception&) {
     return std::nullopt;
+  }
+}
+
+bool try_decode_frame(std::span<const std::uint8_t> bytes,
+                      std::vector<Message>& out) noexcept {
+  const std::size_t mark = out.size();
+  try {
+    ByteReader r(bytes);
+    do {
+      out.push_back(read_message(r));
+    } while (!r.exhausted());
+    return true;
+  } catch (const std::exception&) {
+    out.erase(out.begin() + static_cast<std::ptrdiff_t>(mark), out.end());
+    return false;
   }
 }
 

@@ -12,6 +12,12 @@
 // the O(n) confirmation block to ~1 byte per entry in the steady state.
 // tests/wire_fuzz_test.cpp pins the exact bytes (golden test) and
 // round-trips adversarial vectors including wrap-around edges.
+//
+// Frames: every encoding is self-delimiting, so one datagram may carry
+// several messages back to back — a frame is the plain concatenation of
+// their encodings, with no header, and a one-message frame is byte-for-byte
+// the single-message image. The host packs an entity's broadcasts into
+// frames (encode_append) and unpacks arrivals with try_decode_frame.
 #pragma once
 
 #include <cstddef>
@@ -35,6 +41,17 @@ Message decode(std::span<const std::uint8_t> bytes);
 /// nullopt on any malformed buffer — truncation, bit flips, bad tags,
 /// oversized length prefixes — and never throws, crashes or over-reads.
 std::optional<Message> try_decode(std::span<const std::uint8_t> bytes) noexcept;
+
+/// Append the encoding of `msg` to `frame` in place — no buffer per message.
+void encode_append(const Message& msg, std::vector<std::uint8_t>& frame);
+
+/// Hardened, all-or-nothing decode of a frame (one or more concatenated
+/// messages): on success appends every message to `out` in wire order and
+/// returns true; if any part of the buffer fails to decode — including an
+/// empty buffer or trailing junk after a valid message — appends nothing
+/// and returns false. Never throws.
+bool try_decode_frame(std::span<const std::uint8_t> bytes,
+                      std::vector<Message>& out) noexcept;
 
 /// On-wire size in bytes without materializing the buffer (used by benches).
 std::size_t wire_size(const Message& msg);

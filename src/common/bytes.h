@@ -11,12 +11,19 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace co {
 
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Continue appending after the bytes `buf` already holds (take() hands
+  /// the whole buffer back): lets a caller grow one buffer across several
+  /// writers without a temporary per write.
+  explicit ByteWriter(std::vector<std::uint8_t> buf) : buf_(std::move(buf)) {}
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);

@@ -1,26 +1,35 @@
 // co_load — wire-level load driver for the sharded host runtime.
 //
-// Saturates ONE process-local Host (N entities across S shards, real
-// loopback UDP between them) with paced application submits and reports the
+// Drives ONE process-local Host (N entities across S shards, real loopback
+// UDP between them) with paced application submits and reports the
 // deployable-path analogues of the paper's two cost figures:
 //
 //   * tap_ms   — submit -> delivery wall latency at every receiver
 //     (percentiles over every delivery; the realtime Tap),
-//   * tco_us_per_message — process CPU microseconds per delivered PDU over
-//     the load window (all shard threads + the submitter; the wire-level
-//     Tco upper bound: syscalls, encode/decode and protocol work included),
+//   * tco_us_per_message — shard-thread CPU microseconds per delivered PDU
+//     over the load window: process CPU minus the submitter thread's own
+//     CPU (syscalls, encode/decode, protocol work and the shards' post-
+//     activity spin included),
 //
-// plus throughput (deliveries/sec — each submit fans out to n deliveries)
-// and correctness counters: per-source FIFO order violations observed at
-// the receivers (a necessary condition of CO delivery; zero required) and
-// submission-ring rejections.
+// plus throughput (deliveries/sec — each submit fans out to n deliveries;
+// paced, this echoes rate x n rather than measuring a ceiling) and
+// correctness counters: per-source FIFO order violations observed at the
+// receivers (a necessary condition of CO delivery; zero required) and
+// submission-ring rejections. The submitter sleeps until each submit is
+// due on an absolute CLOCK_MONOTONIC deadline, so it holds no core between
+// submits and its lateness never accumulates. EXPERIMENTS.md defines each
+// figure.
 //
 // `--json PATH` writes the BENCH_wire.json document CI gates with
 // scripts/check_bench_regression.py --wire-baseline.
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
 #include <time.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -89,11 +98,32 @@ struct alignas(64) Receiver {
   PercentileSampler tap_ms;
 };
 
-double cpu_seconds() {
+double cpu_seconds(clockid_t clock) {
   timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  clock_gettime(clock, &ts);
   return static_cast<double>(ts.tv_sec) +
          static_cast<double>(ts.tv_nsec) / 1e9;
+}
+
+/// CPU charged to the host: the whole process minus the calling (submitter)
+/// thread, i.e. the shard threads.
+double shard_cpu_seconds() {
+  return cpu_seconds(CLOCK_PROCESS_CPUTIME_ID) -
+         cpu_seconds(CLOCK_THREAD_CPUTIME_ID);
+}
+
+/// Sleep until `t` on an absolute CLOCK_MONOTONIC deadline (the clock
+/// behind steady_clock on Linux).
+void sleep_until(std::chrono::steady_clock::time_point t) {
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      t.time_since_epoch())
+                      .count();
+  timespec ts{};
+  ts.tv_sec = static_cast<time_t>(ns / 1'000'000'000);
+  ts.tv_nsec = static_cast<long>(ns % 1'000'000'000);
+  while (clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME, &ts, nullptr) ==
+         EINTR) {
+  }
 }
 
 bool parse_args(int argc, char** argv, Options& opt) {
@@ -208,7 +238,12 @@ int main(int argc, char** argv) {
   std::uint64_t rejected_at_source = 0;
   std::vector<std::uint8_t> payload(opt.payload, 0x5a);
 
-  const double cpu_start = cpu_seconds();
+#if defined(__linux__)
+  // Wake on time: the default 50 us timer slack is a whole submit period
+  // at 20k submits/s.
+  prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
+  const double cpu_start = shard_cpu_seconds();
   const auto load_start = std::chrono::steady_clock::now();
   const auto load_end =
       load_start + std::chrono::duration_cast<
@@ -221,10 +256,8 @@ int main(int argc, char** argv) {
       const auto due =
           load_start + std::chrono::nanoseconds(
                            submits * 1'000'000'000ull / opt.rate);
-      if (std::chrono::steady_clock::now() < due) {
-        std::this_thread::yield();
-        continue;
-      }
+      if (due >= load_end) break;
+      sleep_until(due);
     }
     const EntityId id = static_cast<EntityId>(next_entity);
     next_entity = (next_entity + 1) % opt.entities;
@@ -250,7 +283,7 @@ int main(int argc, char** argv) {
                                     load_start)
           .count();
   const std::uint64_t window_deliveries = sum_delivered();
-  const double cpu_window = cpu_seconds() - cpu_start;
+  const double cpu_window = shard_cpu_seconds() - cpu_start;
 
   // --- drain: every accepted submit must reach every entity ----------------
   const std::uint64_t expected = submits * opt.entities;
@@ -289,7 +322,7 @@ int main(int argc, char** argv) {
             << " p90=" << json_number(tap.percentile(0.9))
             << " p99=" << json_number(tap.percentile(0.99)) << "\n"
             << "  tco_us_per_message " << json_number(tco_us)
-            << " (process CPU per delivered PDU)\n"
+            << " (shard-thread CPU per delivered PDU)\n"
             << "  order_violations   " << order_violations << "\n"
             << "  drained            " << (drained ? "yes" : "NO") << "\n"
             << "  wire               sent=" << wire.datagrams_sent

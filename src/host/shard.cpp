@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <limits>
+#include <span>
 #include <system_error>
 #include <utility>
 #include <variant>
@@ -90,7 +91,8 @@ Shard::Shard(std::size_t index,
       peers_(peers),
       deliver_(deliver),
       epoch_(epoch),
-      recv_batch_(recv_batch_datagrams, recv_slot_bytes) {
+      recv_batch_(recv_batch_datagrams, recv_slot_bytes),
+      frame_budget_(std::min(kMaxFrameBytes, recv_slot_bytes)) {
   CO_EXPECT(peers_ != nullptr);
   // Slot 0 is the doorbell; entity sockets follow at i + 1.
   pollfds_.push_back(pollfd{wakeup_.fd(), POLLIN, 0});
@@ -104,27 +106,46 @@ EntityRuntime& Shard::add_entity(EntityRuntimeConfig config) {
 }
 
 void Shard::broadcast_from(EntityRuntime& e, const proto::Message& msg) {
-  const std::vector<std::uint8_t> bytes = proto::encode(msg);
+  // The own copy loops back in-process (drained by pump_self after the
+  // current step): the kernel may drop a self-datagram under load and an
+  // entity cannot request retransmission from itself.
+  e.self_loop_.push_back(msg);
+  const std::size_t held = e.frame_.size();
+  proto::encode_append(msg, e.frame_);
+  if (held != 0 && e.frame_.size() > frame_budget_) {
+    // Over budget: ship the frame as it stood and let this message open
+    // the next one.
+    send_frame(e, held, e.frame_msgs_);
+    e.frame_.erase(e.frame_.begin(),
+                   e.frame_.begin() + static_cast<std::ptrdiff_t>(held));
+    e.frame_msgs_ = 0;
+  }
+  ++e.frame_msgs_;
+}
+
+void Shard::flush(EntityRuntime& e) {
+  if (e.frame_msgs_ == 0) return;
+  send_frame(e, e.frame_.size(), e.frame_msgs_);
+  e.frame_.clear();
+  e.frame_msgs_ = 0;
+}
+
+void Shard::send_frame(EntityRuntime& e, std::size_t bytes,
+                       std::uint32_t msgs) {
+  const std::span<const std::uint8_t> frame(e.frame_.data(), bytes);
   if (e.tracer_ != nullptr)
-    e.tracer_->emit(obs::trace::EventId::kWireTx, wall_now(), e.id_,
-                    kNoEntity, obs::trace::kSeqNone,
-                    static_cast<std::uint32_t>(bytes.size()));
+    e.tracer_->emit(obs::trace::EventId::kWireTx, pass_now_, e.id_,
+                    kNoEntity, msgs, static_cast<std::uint32_t>(bytes));
   tx_scratch_.clear();
   const auto& peers = *peers_;
   for (std::size_t i = 0; i < peers.size(); ++i) {
-    if (static_cast<EntityId>(i) == e.id_) {
-      // Own copy loops back in-process (drained by pump_self after the
-      // current step): the kernel may drop a self-datagram under load and
-      // an entity cannot request retransmission from itself.
-      e.self_loop_.push_back(bytes);
-      continue;
-    }
+    if (static_cast<EntityId>(i) == e.id_) continue;  // looped back instead
     if (e.send_loss_probability_ > 0.0 &&
         e.loss_rng_.next_bool(e.send_loss_probability_)) {
       ++e.stats_.datagrams_dropped_injected;
       continue;
     }
-    tx_scratch_.push_back(transport::TxDatagram{peers[i], bytes});
+    tx_scratch_.push_back(transport::TxDatagram{peers[i], frame});
   }
   const transport::TxResult r = e.socket_.send_many(tx_scratch_);
   e.stats_.datagrams_sent += r.sent;
@@ -141,21 +162,12 @@ void Shard::pump_self(EntityRuntime& e, time::Tick now) {
   // is bounded by the protocol: receiving one's own ctrl PDU only updates
   // knowledge tables.
   while (!e.self_loop_.empty()) {
-    std::vector<std::vector<std::uint8_t>> pending;
-    pending.swap(e.self_loop_);
     e.arrivals_.clear();
-    for (const auto& bytes : pending) {
-      auto msg = proto::try_decode(bytes);
-      if (!msg) {
-        ++e.stats_.decode_errors;
-        continue;
-      }
-      e.arrivals_.push_back(proto::MessageArrived{e.id_, std::move(*msg)});
-    }
-    if (!e.arrivals_.empty()) {
-      if (e.trace_bridge_) e.trace_bridge_->set_now(now);
-      e.driver_->on_messages(e.arrivals_, now);
-    }
+    for (proto::Message& msg : e.self_loop_)
+      e.arrivals_.push_back(proto::MessageArrived{e.id_, std::move(msg)});
+    e.self_loop_.clear();
+    if (e.trace_bridge_) e.trace_bridge_->set_now(now);
+    e.driver_->on_messages(e.arrivals_, now);
   }
 }
 
@@ -192,21 +204,23 @@ bool Shard::ingest_socket(EntityRuntime& e, time::Tick now) {
         ++e.stats_.decode_errors;
         continue;
       }
-      auto msg = proto::try_decode(payload);
-      if (!msg) {
-        // Garbage on the port (or truncation): UDP gives no guarantees;
-        // the protocol treats it as loss.
+      rx_frame_.clear();
+      if (!proto::try_decode_frame(payload, rx_frame_)) {
+        // Garbage anywhere in the datagram (UDP gives no guarantees): the
+        // whole frame is one loss, which the protocol recovers from.
         ++e.stats_.decode_errors;
         continue;
       }
-      const EntityId src = std::holds_alternative<proto::PduRef>(*msg)
-                               ? std::get<proto::PduRef>(*msg)->src
-                               : std::get<proto::RetPdu>(*msg).src;
-      if (src < 0 || static_cast<std::size_t>(src) >= e.n_) {
-        ++e.stats_.decode_errors;
-        continue;
+      for (proto::Message& msg : rx_frame_) {
+        const EntityId src = std::holds_alternative<proto::PduRef>(msg)
+                                 ? std::get<proto::PduRef>(msg)->src
+                                 : std::get<proto::RetPdu>(msg).src;
+        if (src < 0 || static_cast<std::size_t>(src) >= e.n_) {
+          ++e.stats_.decode_errors;
+          continue;
+        }
+        e.arrivals_.push_back(proto::MessageArrived{src, std::move(msg)});
       }
-      e.arrivals_.push_back(proto::MessageArrived{src, std::move(*msg)});
     }
     if (!e.arrivals_.empty()) {
       if (e.trace_bridge_) e.trace_bridge_->set_now(now);
@@ -215,6 +229,7 @@ bool Shard::ingest_socket(EntityRuntime& e, time::Tick now) {
     }
     if (got < recv_batch_.capacity()) break;  // queue drained
   }
+  flush(e);
   return any;
 }
 
@@ -235,12 +250,14 @@ bool Shard::poll_once(std::chrono::milliseconds max_wait) {
   bool activity = false;
 
   time::Tick now = wall_now();
+  pass_now_ = now;
   for (auto& e : entities_) {
     activity |= drain_submissions(*e, now);
     if (e->trace_bridge_) e->trace_bridge_->set_now(now);
     const bool fired = e->driver_->run_timers(now) > 0;
     if (fired) pump_self(*e, now);
     activity |= fired;
+    flush(*e);
   }
   if (activity) last_activity_ = now;
 
@@ -279,6 +296,7 @@ bool Shard::poll_once(std::chrono::milliseconds max_wait) {
     throw std::system_error(errno, std::generic_category(), "poll");
   if (r > 0) {
     now = wall_now();  // we may have slept; restamp the batch
+    pass_now_ = now;
     if (pollfds_[0].revents & POLLIN) {
       // Doorbell: a producer pushed while we slept (or a wake()). The
       // rings are drained at the top of the next iteration — count it as
@@ -315,7 +333,11 @@ void Shard::close_and_drain() {
     e->accepting_.store(false, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_seq_cst);
   const time::Tick now = wall_now();
-  for (auto& e : entities_) drain_submissions(*e, now);
+  pass_now_ = now;
+  for (auto& e : entities_) {
+    drain_submissions(*e, now);
+    flush(*e);
+  }
 }
 
 void Shard::apply_affinity() const {

@@ -6,15 +6,32 @@
 // UDP socket, and the SPSC submission ring application threads feed — so
 // the shard's event loop touches no shared mutable state and takes no lock:
 //
-//   app thread --SpscRing--> [shard thread: drain -> timers -> poll ->
-//                             recvmmsg -> batched core step -> sendmmsg]
+//   app thread --SpscRing--> [shard thread, per entity:
+//                               drain ring -> timers -> flush frame]
+//                            -> poll(2) ->
+//                            [per readable entity: recvmmsg -> unpack
+//                               frames -> ONE core step -> flush frame]
 //
-// Socket I/O is batched end to end: arrivals are drained with recvmmsg into
-// a reused RecvBatch and ingested as ONE core step per burst (the receipt
-// pipeline amortization of PR 4), and every broadcast fan-out goes out as
-// one sendmmsg burst. Deliveries invoke the host's callback on the shard
-// thread. A shard is also usable standalone on a caller's thread via
-// poll_once() — transport::CoNode is exactly that: one shard, one entity.
+//   a frame: | msg 1 | msg 2 | ... | msg k |   (k >= 1, <= frame budget)
+//            one datagram per peer, each msg a plain proto::encode image
+//
+// Socket I/O is batched end to end. Outbound, an entity's broadcasts do
+// not leave one by one: each is appended to the entity's frame buffer, and
+// the frame goes to every peer as one sendmmsg burst as soon as the
+// entity's work in the current phase is done — after its ring drain and
+// timers, after its socket ingest, and in the shutdown drain — so a frame
+// never waits across poll(2) or on another entity. A frame holds at most
+// min(kMaxFrameBytes, the RecvBatch slot size) bytes; a message that would
+// overflow it ships the frame first and opens the next, and a message
+// larger than the budget on its own goes out alone. Inbound, arrivals are
+// drained with recvmmsg into a reused RecvBatch, each datagram is unpacked
+// all-or-nothing into its messages, and the whole burst enters the core as
+// ONE step (the receipt-pipeline amortization). An entity's own copy of a
+// broadcast never touches the codec: it loops back in-process as the
+// proto::Message itself (a PduRef refcount bump). Deliveries invoke the
+// host's callback on the shard thread. A shard is also usable standalone
+// on a caller's thread via poll_once() — transport::CoNode is exactly
+// that: one shard, one entity.
 //
 // The loop is event-driven, never tick-paced. A shard sleeps only in
 // poll(2), and three things wake it: a readable entity socket, a due timer
@@ -32,10 +49,10 @@
 // event (see set_spin), trading a sliver of idle CPU for microsecond
 // pickup latency.
 //
-// Tracing: all events a shard emits (wire_tx/rx, timer, protocol
-// milestones) land on the shard thread, so a Tracer shared across the host
-// gets one lock-free stream per shard thread — the per-thread single-writer
-// design of src/obs/trace, unchanged.
+// Tracing: all events a shard emits (wire_tx per flushed frame, wire_rx
+// per datagram, timer, protocol milestones) land on the shard thread, so a
+// Tracer shared across the host gets one lock-free stream per shard thread
+// — the per-thread single-writer design of src/obs/trace, unchanged.
 #pragma once
 
 #include <poll.h>
@@ -117,6 +134,12 @@ inline constexpr std::chrono::microseconds kDefaultSpin{100};
 /// bound the sleep — never a pacing tick.
 inline constexpr std::chrono::milliseconds kIdlePollCap{500};
 
+/// Largest frame a shard packs: one Ethernet MTU's UDP payload (1500 B
+/// minus the 20-byte IPv4 and 8-byte UDP headers). A shard further caps
+/// its frames at its own RecvBatch slot size, so a receiver built with the
+/// same config never truncates one.
+inline constexpr std::size_t kMaxFrameBytes = 1472;
+
 /// The poll(2) timeout for an event loop that wants to sleep at most
 /// `cap_ms` but no longer than until `earliest` (the next timer deadline,
 /// if any; `now` in the same clock domain). All arithmetic is 64-bit and
@@ -139,7 +162,8 @@ struct EntityRuntimeConfig {
   /// across shards free).
   obs::trace::Tracer* tracer = nullptr;
   /// Test hook: drop outgoing datagrams (to peers other than self) with
-  /// this probability — loopback UDP practically never loses packets.
+  /// this probability — loopback UDP practically never loses packets. The
+  /// unit of loss is a whole frame to one peer.
   double send_loss_probability = 0.0;
   std::uint64_t loss_seed = Rng::kDefaultSeed;
   /// Capacity of the SPSC submission ring (rounded up to a power of two).
@@ -214,12 +238,18 @@ class EntityRuntime final : private driver::RealtimeEnv {
   WireStats stats_;
   // Reused scratch: decoded arrivals of the current socket burst.
   std::vector<proto::MessageArrived> arrivals_;
-  // Own broadcasts looped back in-process (filled during an effect replay,
-  // drained by Shard::pump_self right after the step). The entity's own
-  // PDUs must NOT ride the UDP socket: the kernel may drop a self-datagram
-  // under load, and an entity cannot RET itself — report_loss(self) is a
-  // protocol invariant violation, not a recoverable loss.
-  std::vector<std::vector<std::uint8_t>> self_loop_;
+  // Own broadcasts looped back in-process as the messages themselves
+  // (filled during an effect replay, drained by Shard::pump_self right
+  // after the step). The entity's own PDUs must NOT ride the UDP socket:
+  // the kernel may drop a self-datagram under load, and an entity cannot
+  // RET itself — report_loss(self) is a protocol invariant violation, not
+  // a recoverable loss.
+  std::vector<proto::Message> self_loop_;
+  // The frame being packed: the encodings of this entity's broadcasts of
+  // the current phase, back to back, and how many there are. Shard::flush
+  // ships it to every peer.
+  std::vector<std::uint8_t> frame_;
+  std::uint32_t frame_msgs_ = 0;
 };
 
 class Shard {
@@ -250,7 +280,8 @@ class Shard {
   /// rings, fire due timers, then wait for datagrams or a doorbell ring
   /// (at most `max_wait`, bounded by the earliest pending timer; zero
   /// while inside the post-activity spin window) and ingest them in
-  /// batches. Returns true if anything happened.
+  /// batches. Every frame packed during the call has left when it returns.
+  /// Returns true if anything happened.
   bool poll_once(std::chrono::milliseconds max_wait);
 
   /// Thread body: poll_once until `stop` becomes true, then run one final
@@ -294,7 +325,13 @@ class Shard {
  private:
   friend class EntityRuntime;
 
+  /// Loop the own copy back and append the message to e's frame, shipping
+  /// the frame first if the message would overflow the budget.
   void broadcast_from(EntityRuntime& e, const proto::Message& msg);
+  /// Ship e's frame (if it holds anything) and start an empty one.
+  void flush(EntityRuntime& e);
+  /// Send the first `bytes` of e's frame, `msgs` messages, to every peer.
+  void send_frame(EntityRuntime& e, std::size_t bytes, std::uint32_t msgs);
   void deliver_from(EntityRuntime& e, const proto::CoPdu& pdu);
   bool drain_submissions(EntityRuntime& e, time::Tick now);
   bool ingest_socket(EntityRuntime& e, time::Tick now);
@@ -314,7 +351,14 @@ class Shard {
   // pollfds_[0] is the wakeup doorbell; entity i's socket is at i + 1.
   std::vector<pollfd> pollfds_;
   transport::RecvBatch recv_batch_;
+  // min(kMaxFrameBytes, the RecvBatch slot size).
+  std::size_t frame_budget_;
+  // Reused scratch: the messages of one arriving datagram.
+  std::vector<proto::Message> rx_frame_;
   std::vector<transport::TxDatagram> tx_scratch_;
+  // The loop pass's clock reading (restamped after a poll that returned
+  // events): stamps the wire_tx record of every frame sent in the pass.
+  time::Tick pass_now_ = 0;
   Wakeup wakeup_;
   // True while the shard is committed to (or inside) a blocking poll;
   // paired with the producer-side fence in EntityRuntime::submit (see the

@@ -34,7 +34,8 @@ enum class EventId : std::uint16_t {
   kTimerCancel = 17,  // arg = TimerId
   kTimerFire = 18,    // arg = TimerId
   kSubmit = 19,       // application DT request; arg = payload bytes
-  kWireTx = 20,       // datagram out; arg = bytes on the wire
+  kWireTx = 20,       // frame out, one datagram to each peer; arg = frame
+                      // bytes, seq = messages in the frame
   kWireRx = 21,       // datagram in;  arg = bytes, origin = channel peer
   kViolation = 22,    // oracle/invariant failure; flight recorder trigger
 };

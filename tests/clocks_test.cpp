@@ -1,23 +1,10 @@
-// Unit tests: Lamport, vector, and matrix clocks.
+// Unit tests: vector clocks.
 #include <gtest/gtest.h>
 
-#include "src/clocks/lamport.h"
-#include "src/clocks/matrix_clock.h"
 #include "src/clocks/vector_clock.h"
 
 namespace co::clocks {
 namespace {
-
-TEST(LamportClock, MonotoneAndMergesOnReceive) {
-  LamportClock a, b;
-  EXPECT_EQ(a.tick(), 1u);
-  EXPECT_EQ(a.tick(), 2u);
-  const auto stamp = a.send();  // 3
-  EXPECT_EQ(b.receive(stamp), 4u);
-  EXPECT_EQ(b.time(), 4u);
-  // Receiving an old stamp still advances.
-  EXPECT_EQ(b.receive(1), 5u);
-}
 
 TEST(VectorClock, TickAffectsOnlyOwnComponent) {
   VectorClock v(3);
@@ -71,45 +58,6 @@ TEST(VectorClock, SizeMismatchThrows) {
   VectorClock a(2), b(3);
   EXPECT_THROW(a.merge(b), std::logic_error);
   EXPECT_THROW(VectorClock::compare(a, b), std::logic_error);
-}
-
-TEST(MatrixClock, OwnRowActsAsVectorClock) {
-  MatrixClock m(0, 3);
-  m.tick();
-  m.tick();
-  EXPECT_EQ(m.own()[0], 2u);
-  EXPECT_EQ(m.min_known(0), 0u);  // others have seen nothing of us
-}
-
-TEST(MatrixClock, ReceiveUpdatesKnowledgeOfSender) {
-  MatrixClock a(0, 2), b(1, 2);
-  MatrixClock stamp = a.send();  // a's own row = <1,0>
-  b.receive(0, stamp);
-  // b knows a has seen a's event.
-  EXPECT_EQ(b.row(0)[0], 1u);
-  // b's own row merged + ticked.
-  EXPECT_EQ(b.own()[0], 1u);
-  EXPECT_GE(b.own()[1], 1u);
-}
-
-TEST(MatrixClock, MinKnownEnablesGarbageCollection) {
-  // Three parties; a's events are known to all only after a full exchange.
-  MatrixClock a(0, 3), b(1, 3), c(2, 3);
-  auto s1 = a.send();
-  b.receive(0, s1);
-  c.receive(0, s1);
-  EXPECT_EQ(a.min_known(0), 0u);  // a does not yet know they received it
-  auto sb = b.send();
-  auto sc = c.send();
-  a.receive(1, sb);
-  a.receive(2, sc);
-  EXPECT_GE(a.min_known(0), 1u);  // now everyone is known to have seen e1
-}
-
-TEST(MatrixClock, ReceiveFromWrongSenderThrows) {
-  MatrixClock a(0, 2), b(1, 2);
-  auto stamp = b.send();
-  EXPECT_THROW(a.receive(0, stamp), std::logic_error);  // stamp.self is 1
 }
 
 }  // namespace

@@ -51,7 +51,7 @@ class HostHarness {
   };
 
   HostHarness(std::size_t n, std::size_t shards, double send_loss,
-              obs::trace::Tracer* tracer)
+              obs::trace::Tracer* tracer, std::size_t recv_slot_bytes = 2048)
       : n_(n), trace_(n), logs_(n), data_keys_(n), submissions_(n, 0) {
     proto::CoConfig cfg;
     cfg.cid = 42;
@@ -64,6 +64,7 @@ class HostHarness {
         .shards(shards)
         .send_loss(send_loss, /*seed=*/1000)
         .tracer(tracer)
+        .recv_batch(32, recv_slot_bytes)
         .deliver([this](EntityId at, EntityId,
                         const std::vector<std::uint8_t>& data) {
           const std::lock_guard<std::mutex> lock(mutex_);
@@ -80,9 +81,9 @@ class HostHarness {
 
   Host& host() { return *host_; }
 
-  void submit(EntityId at) {
+  void submit(EntityId at, std::size_t payload_bytes = 32) {
     const auto idx = submissions_[static_cast<std::size_t>(at)]++;
-    ASSERT_EQ(host_->submit(at, app::make_payload(at, idx, 32)),
+    ASSERT_EQ(host_->submit(at, app::make_payload(at, idx, payload_bytes)),
               SubmitResult::kAccepted);
   }
 
@@ -368,7 +369,13 @@ TEST(HostRuntime, StopNeverSilentlyDropsAcceptedSubmissions) {
         }
       });
     }
-    // Let the producers race the stop itself, not just the steady state.
+    // Let the producers race the stop itself, not just the steady state —
+    // once they run: on a loaded machine a few milliseconds may pass
+    // before any producer thread is first scheduled.
+    const auto started = std::chrono::steady_clock::now();
+    while (accepted.load() == 0 &&
+           std::chrono::steady_clock::now() - started < 10s)
+      std::this_thread::yield();
     std::this_thread::sleep_for(std::chrono::milliseconds(2 + round));
     host->stop();
     halt.store(true, std::memory_order_relaxed);
@@ -426,6 +433,90 @@ TEST(HostRuntime, DoorbellWakesIdleShardPromptly) {
   // CI scheduling slop stacked on top.
   EXPECT_LT(elapsed, 100ms);
   host->stop();
+}
+
+/// Streaming trace sink tallying the wire_tx records: frames sent, the
+/// messages they carried, and the largest frame. Sinks see batches one at
+/// a time under the tracer's lock, so plain counters suffice.
+class FrameTally final : public obs::trace::TraceSink {
+ public:
+  void on_records(std::uint16_t, const obs::trace::Record* records,
+                  std::size_t count, std::uint64_t) override {
+    for (std::size_t i = 0; i < count; ++i) {
+      if (records[i].event !=
+          static_cast<std::uint16_t>(obs::trace::EventId::kWireTx))
+        continue;
+      ++frames;
+      messages += records[i].seq;
+      largest = std::max(largest, records[i].arg);
+    }
+  }
+  std::uint64_t frames = 0;
+  std::uint64_t messages = 0;
+  std::uint32_t largest = 0;
+};
+
+obs::trace::TracerConfig streaming() {
+  obs::trace::TracerConfig cfg;
+  cfg.overwrite_oldest = false;
+  return cfg;
+}
+
+// Frames never outgrow the receive slot. With 512-byte slots the frame
+// budget is 512 bytes; each entity's first pass packs six ~230-byte data
+// PDUs, which takes several frames, and no receiver built with the same
+// config may see a truncated datagram.
+TEST(HostRuntime, FramesFitSmallReceiveSlots) {
+  constexpr std::size_t kN = 4;
+  constexpr int kRounds = 6;
+  constexpr std::size_t kSlot = 512;
+  FrameTally tally;
+  obs::trace::Tracer tracer(streaming(), &tally);
+  HostHarness h(kN, 2, /*send_loss=*/0.0, &tracer, kSlot);
+  for (int round = 0; round < kRounds; ++round)
+    for (EntityId e = 0; e < static_cast<EntityId>(kN); ++e)
+      h.submit(e, /*payload_bytes=*/200);
+  h.host().start();
+  ASSERT_TRUE(h.await_deliveries(kRounds * kN, 20'000ms));
+  h.host().stop();
+  tracer.flush();
+
+  for (EntityId e = 0; e < static_cast<EntityId>(kN); ++e) {
+    EXPECT_EQ(h.host().wire_stats(e).truncated_datagrams, 0u) << "E" << e;
+    EXPECT_EQ(h.host().wire_stats(e).decode_errors, 0u) << "E" << e;
+  }
+  EXPECT_LE(tally.largest, kSlot);
+  EXPECT_GT(tally.messages, tally.frames);  // some frames held several PDUs
+  EXPECT_EQ(h.check_co_service(), std::nullopt);
+}
+
+// Every broadcast leaves in exactly one frame: the wire_tx records'
+// message counts add up to the PDUs the cores sent (data + ack-only + RET
+// + retransmitted) — including the burst that races stop() and goes out
+// from the shutdown drain — so no broadcast is stranded in an unflushed
+// frame or sent twice.
+TEST(HostRuntime, WireTxCountsEveryBroadcastOnce) {
+  constexpr std::size_t kN = 4;
+  FrameTally tally;
+  obs::trace::Tracer tracer(streaming(), &tally);
+  HostHarness h(kN, 2, /*send_loss=*/0.05, &tracer);
+  h.host().start();
+  for (int round = 0; round < 4; ++round)
+    for (EntityId e = 0; e < static_cast<EntityId>(kN); ++e) h.submit(e);
+  ASSERT_TRUE(h.await_deliveries(4 * kN, 40'000ms));
+  for (EntityId e = 0; e < static_cast<EntityId>(kN); ++e) h.submit(e);
+  h.host().stop();
+  tracer.flush();
+
+  std::uint64_t sent = 0;
+  for (EntityId e = 0; e < static_cast<EntityId>(kN); ++e) {
+    const auto s = h.host().protocol_stats(e);
+    sent += s.data_pdus_sent + s.ctrl_pdus_sent + s.ret_pdus_sent +
+            s.retransmissions_sent;
+  }
+  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_GE(sent, 5 * kN);
+  EXPECT_EQ(tally.messages, sent);
 }
 
 TEST(HostRuntime, StartRequiresEveryPeerEndpoint) {

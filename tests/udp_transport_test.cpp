@@ -311,6 +311,51 @@ TEST(UdpTransport, FarFutureTimerDoesNotBusySpinPollOnce) {
   EXPECT_GE(std::chrono::steady_clock::now() - t0, 20ms);
 }
 
+// Coalescing: k submits queued before the first poll are one drain phase,
+// so their k data PDUs leave as ONE datagram to the peer, and the peer
+// accepts all k from that one datagram.
+TEST(UdpTransport, QueuedSubmitsLeaveAsOneDatagram) {
+  constexpr int kSubmits = 5;  // below the default window of 8
+
+  class AcceptCounter final : public proto::CoObserver {
+   public:
+    void on_accept(const PduKey& k) override { from_zero += k.src == 0; }
+    int from_zero = 0;
+  } accepted;
+
+  proto::CoConfig pcfg;
+  pcfg.assumed_peer_buffer = 1u << 16;
+  auto sender = NodeBuilder(0, 2)
+                    .proto(pcfg)
+                    .deliver([](EntityId, const std::vector<std::uint8_t>&) {})
+                    .build();
+  auto receiver = NodeBuilder(1, 2)
+                      .proto(pcfg)
+                      .observer(&accepted)
+                      .deliver([](EntityId,
+                                  const std::vector<std::uint8_t>&) {})
+                      .build();
+  const std::vector<UdpEndpoint> table{sender->local_endpoint(),
+                                       receiver->local_endpoint()};
+  sender->set_peers(table);
+  receiver->set_peers(table);
+
+  for (int i = 0; i < kSubmits; ++i)
+    ASSERT_EQ(sender->submit({1, 2, static_cast<std::uint8_t>(i)}),
+              host::SubmitResult::kAccepted);
+  sender->poll_once(0ms);
+  EXPECT_EQ(sender->protocol_stats().snapshot().data_pdus_sent,
+            static_cast<std::uint64_t>(kSubmits));
+  EXPECT_EQ(sender->stats().datagrams_sent, 1u);
+
+  // Loopback sendmmsg is synchronous: the frame already waits in the
+  // receiver's socket buffer.
+  receiver->poll_once(1000ms);
+  EXPECT_EQ(receiver->stats().datagrams_received, 1u);
+  EXPECT_EQ(receiver->stats().decode_errors, 0u);
+  EXPECT_EQ(accepted.from_zero, kSubmits);
+}
+
 TEST(UdpTransport, GarbageDatagramsAreIgnored) {
   UdpCluster cluster(2);
   cluster.start();

@@ -5,6 +5,9 @@
 // Companion to wire_test.cpp (which covers the happy-path round-trips).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <variant>
 #include <vector>
 
 #include "src/co/core.h"
@@ -38,9 +41,95 @@ RetPdu sample_ret() {
   return r;
 }
 
+/// A frame: the messages' encodings back to back, built the way the host
+/// packs them.
+std::vector<std::uint8_t> frame_of(const std::vector<Message>& msgs) {
+  std::vector<std::uint8_t> frame;
+  for (const Message& m : msgs) encode_append(m, frame);
+  return frame;
+}
+
+/// Data, RET, and an ack-only PDU: the three shapes a frame mixes.
+std::vector<Message> mixed_messages() {
+  CoPdu ack_only = sample_data(4);
+  ack_only.seq = 42;
+  ack_only.data.clear();
+  return {Message(sample_data(4)), Message(sample_ret()), Message(ack_only)};
+}
+
 TEST(WireFuzz, ValidBuffersDecode) {
   EXPECT_TRUE(try_decode(encode(Message(sample_data(4)))).has_value());
   EXPECT_TRUE(try_decode(encode(Message(sample_ret()))).has_value());
+}
+
+// A frame is the plain concatenation of the single-message images, and it
+// decodes back to the same messages in the same order.
+TEST(WireFuzz, MixedFrameRoundTripsInOrder) {
+  const std::vector<Message> msgs = mixed_messages();
+  const std::vector<std::uint8_t> frame = frame_of(msgs);
+  std::vector<std::uint8_t> concatenated;
+  for (const Message& m : msgs) {
+    const auto bytes = encode(m);
+    concatenated.insert(concatenated.end(), bytes.begin(), bytes.end());
+  }
+  EXPECT_EQ(frame, concatenated);
+
+  std::vector<Message> out;
+  ASSERT_TRUE(try_decode_frame(frame, out));
+  ASSERT_EQ(out.size(), msgs.size());
+  for (std::size_t i = 0; i < msgs.size(); ++i)
+    EXPECT_EQ(encode(out[i]), encode(msgs[i])) << "message " << i;
+  EXPECT_TRUE(std::holds_alternative<RetPdu>(out[1]));
+}
+
+// Every proper prefix of a 3-message frame that cuts a message is rejected
+// whole and appends nothing. (A cut exactly between two messages is a
+// valid shorter frame — a frame carries no count — and decodes to the
+// messages before the cut; UDP delivers datagrams whole or flags them
+// truncated, so the receiver never sees such a cut.)
+TEST(WireFuzz, EveryFramePrefixDecodesAllOrNothing) {
+  const std::vector<Message> msgs = mixed_messages();
+  const std::vector<std::uint8_t> frame = frame_of(msgs);
+  std::vector<std::size_t> boundaries;
+  std::size_t end = 0;
+  for (const Message& m : msgs) boundaries.push_back(end += encode(m).size());
+
+  for (std::size_t len = 0; len < frame.size(); ++len) {
+    std::vector<Message> out = {Message(sample_ret())};  // prior content
+    const bool ok = try_decode_frame(
+        std::span<const std::uint8_t>(frame.data(), len), out);
+    const auto at = std::find(boundaries.begin(), boundaries.end(), len);
+    if (at == boundaries.end()) {
+      EXPECT_FALSE(ok) << "prefix length " << len;
+      EXPECT_EQ(out.size(), 1u) << "prefix length " << len;
+    } else {
+      EXPECT_TRUE(ok) << "prefix length " << len;
+      EXPECT_EQ(out.size(), 1u + static_cast<std::size_t>(
+                                     at - boundaries.begin() + 1));
+    }
+  }
+}
+
+// A valid message followed by junk is rejected whole — by the frame
+// decoder (nothing appended) as by the single-message one.
+TEST(WireFuzz, FrameWithTrailingJunkIsRejectedWhole) {
+  const std::vector<std::vector<std::uint8_t>> junks = {
+      {0x00}, {0x99, 0x01}, {0x01, 0x80}, {0x02}};
+  for (const auto& junk : junks) {
+    auto bytes = frame_of(mixed_messages());
+    bytes.insert(bytes.end(), junk.begin(), junk.end());
+    std::vector<Message> out;
+    EXPECT_FALSE(try_decode_frame(bytes, out));
+    EXPECT_TRUE(out.empty());
+
+    auto single = encode(Message(sample_data(4)));
+    single.insert(single.end(), junk.begin(), junk.end());
+    EXPECT_EQ(try_decode(single), std::nullopt);
+    EXPECT_FALSE(try_decode_frame(single, out));
+    EXPECT_TRUE(out.empty());
+  }
+  std::vector<Message> out;
+  EXPECT_FALSE(try_decode_frame({}, out));  // an empty datagram is no frame
 }
 
 // Every proper prefix of a valid message is truncated input: nullopt, no
@@ -57,16 +146,23 @@ TEST(WireFuzz, EveryTruncationIsRejectedGracefully) {
   }
 }
 
-// Single-bit flips anywhere in the buffer either decode to *some* message
-// or return nullopt — never crash. (ASan/UBSan builds make "never crash"
-// also mean "never over-read"; scripts/check.sh runs this under both.)
+// Single-bit flips anywhere in a message or a frame either decode to
+// *some* message(s) or are rejected — never crash, and a rejected frame
+// appends nothing. (ASan/UBSan builds make "never crash" also mean "never
+// over-read"; scripts/check.sh runs this under both.)
 TEST(WireFuzz, EveryBitFlipIsHandled) {
-  const auto bytes = encode(Message(sample_data(5)));
-  for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      auto mutated = bytes;
-      mutated[byte] ^= static_cast<std::uint8_t>(1u << bit);
-      (void)try_decode(mutated);  // must not throw or crash
+  for (const auto& bytes :
+       {encode(Message(sample_data(5))), frame_of(mixed_messages())}) {
+    for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        auto mutated = bytes;
+        mutated[byte] ^= static_cast<std::uint8_t>(1u << bit);
+        (void)try_decode(mutated);  // must not throw or crash
+        std::vector<Message> out;
+        if (!try_decode_frame(mutated, out)) {
+          EXPECT_TRUE(out.empty());
+        }
+      }
     }
   }
 }
@@ -118,6 +214,8 @@ TEST(WireFuzz, RandomGarbageNeverCrashes) {
     std::vector<std::uint8_t> junk(rng.next_below(64));
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next_below(256));
     (void)try_decode(junk);  // any result is fine; crashing is not
+    std::vector<Message> out;
+    (void)try_decode_frame(junk, out);
   }
 }
 
@@ -144,6 +242,8 @@ TEST(WireFuzz, DeltaAckGoldenBytes) {
       0x01, 0xAA,              // payload length + bytes
   };
   EXPECT_EQ(encode(Message(p)), golden);
+  // A one-message frame is the same image.
+  EXPECT_EQ(frame_of({Message(p)}), golden);
 }
 
 // Property: delta-coded ACK vectors round-trip exactly for near-monotone
