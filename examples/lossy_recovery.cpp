@@ -6,25 +6,40 @@
 // counters at each phase: the failure condition firing at E2, the RET PDU,
 // the selective rebroadcast from E0, and the final, gap-free delivery.
 #include <iostream>
+#include <vector>
 
 #include "src/driver/cluster.h"
-#include "src/co/trace_categories.h"
-#include "src/sim/trace.h"
+
+namespace {
+
+/// Keeps every protocol record; interesting slices are printed at the end.
+struct RecordLog final : co::proto::CoObserver {
+  std::vector<co::proto::Record> records;
+  void on_event(const co::proto::Record& r) override { records.push_back(r); }
+};
+
+/// One line per record: time, actor, event name, subject PDU and arg.
+void print_record(const co::proto::Record& r) {
+  std::cout << "  [t=" << co::sim::to_ms(r.at) << " ms] E" << r.actor << ' '
+            << co::obs::trace::event_name(static_cast<co::proto::EventId>(
+                   r.event))
+            << " E" << r.origin << '#' << r.seq << " arg=" << r.arg << '\n';
+}
+
+}  // namespace
 
 int main() {
   using namespace co;
   using namespace co::proto;
 
-  // Retain the full protocol event trace; interesting slices are printed
-  // at the end.
-  sim::RingTrace trace(1u << 16);
+  RecordLog trace;
 
   ClusterOptions options;
   options.proto.n = 3;
   options.proto.retransmit_timeout = 2 * sim::kMillisecond;
   options.net.delay = net::DelayModel::fixed(100 * sim::kMicrosecond);
   options.net.buffer_capacity = 1024;
-  options.trace_sink = &trace;
+  options.observer = &trace;
   CoCluster cluster(options);
 
   std::cout << "E0 will broadcast 6 PDUs; the copy of PDU #3 addressed to E2 "
@@ -56,22 +71,19 @@ int main() {
             << e0.retransmissions_sent << "  (go-back-n would have resent "
             << "the whole suffix)\n\n";
 
+  // f1/f2 name the first missing PDU with the gap length as arg; ret names
+  // the requested source and the SEQ it wants everything below of.
   std::cout << "protocol trace at E2 (failure detection and recovery):\n";
-  for (const auto& entry : trace.entries()) {
-    if (entry.actor != 2) continue;
-    namespace cat = co::proto::cat;
-    if (entry.category == cat::kF1 || entry.category == cat::kF2 ||
-        entry.category == cat::kRet || entry.category == cat::kDup) {
-      std::cout << "  [t=" << sim::to_ms(entry.at) << " ms] E2 "
-                << entry.category << ": " << entry.text << '\n';
-    }
+  for (const Record& r : trace.records) {
+    const auto e = static_cast<EventId>(r.event);
+    if (r.actor == 2 && (e == EventId::kF1 || e == EventId::kF2 ||
+                         e == EventId::kRet || e == EventId::kDup))
+      print_record(r);
   }
   std::cout << "protocol trace at E0 (the selective rebroadcast):\n";
-  for (const auto& entry : trace.entries()) {
-    if (entry.actor == 0 && entry.category == co::proto::cat::kRtx)
-      std::cout << "  [t=" << sim::to_ms(entry.at) << " ms] E0 rtx: "
-                << entry.text << '\n';
-  }
+  for (const Record& r : trace.records)
+    if (r.actor == 0 && static_cast<EventId>(r.event) == EventId::kRtx)
+      print_record(r);
 
   std::cout << "\ndelivery log at E2 (complete and in order):\n";
   for (const auto& d : cluster.deliveries(2))

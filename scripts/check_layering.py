@@ -2,13 +2,16 @@
 """Layering check for the sans-io split.
 
 The protocol core must stay deployable without the simulator: src/co may
-not include anything from src/sim, src/net, src/transport or src/driver,
-and the realtime pieces (src/transport plus the realtime driver files) may
-not include src/sim. Run from anywhere; exits non-zero and prints every
-violation as file:line: include.
+include only itself, src/common, src/causality and the two header-only
+trace vocabulary files its observer speaks (an allow-list, so nothing else
+reaches the core unchecked), and the realtime pieces (src/transport plus
+the realtime driver files) may not include src/sim. Run from anywhere;
+exits non-zero and prints every violation as file:line: include.
 
 Rules (DESIGN.md "Layering"):
-  src/co        -> src/common, src/causality only (and itself)
+  src/co        -> src/co, src/common, src/causality, and exactly
+                   src/obs/trace/record.h + src/obs/trace/events.h (which
+                   are held to the same allow-list)
   src/obs       -> no src/sim, no src/driver (tracer/metrics/exporters must
                    stay linkable from the realtime path)
   src/transport -> no src/sim
@@ -26,13 +29,16 @@ import sys
 REPO = pathlib.Path(__file__).resolve().parent.parent
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"(src/[^"]+)"')
 
+# What src/co may include: these directories, plus these exact files.
+CORE_ALLOWED_DIRS = ("src/co/", "src/common/", "src/causality/")
+CORE_ALLOWED_FILES = ("src/obs/trace/record.h", "src/obs/trace/events.h")
+CORE_WHY = (
+    "the sans-io core may include only src/co, src/common, src/causality "
+    "and the trace record/event headers"
+)
+
 # (scope, forbidden prefixes, rationale)
 RULES = [
-    (
-        "src/co",
-        ("src/sim/", "src/net/", "src/transport/", "src/driver/"),
-        "the sans-io core must not depend on any driver or environment",
-    ),
     (
         "src/transport",
         ("src/sim/",),
@@ -70,8 +76,25 @@ def includes_of(path: pathlib.Path):
             yield lineno, m.group(1)
 
 
+def core_allowed(inc: str) -> bool:
+    return inc.startswith(CORE_ALLOWED_DIRS) or inc in CORE_ALLOWED_FILES
+
+
 def main() -> int:
     violations = []
+
+    core_files = [
+        p for p in sorted((REPO / "src/co").rglob("*"))
+        if p.suffix in (".h", ".cpp")
+    ] + [REPO / rel for rel in CORE_ALLOWED_FILES]
+    for path in core_files:
+        rel = path.relative_to(REPO)
+        if not path.exists():
+            violations.append(f"{rel}: expected core-visible header is missing")
+            continue
+        for lineno, inc in includes_of(path):
+            if not core_allowed(inc):
+                violations.append(f"{rel}:{lineno}: {inc}  ({CORE_WHY})")
 
     for scope, forbidden, why in RULES:
         for path in sorted((REPO / scope).rglob("*")):

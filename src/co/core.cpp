@@ -3,22 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <sstream>
 
-#include "src/co/trace_categories.h"
 #include "src/common/expect.h"
 
 namespace co::proto {
-
-// Emit a protocol-trace event iff an observer wants the text; the stream
-// expression is not evaluated otherwise.
-#define CO_TRACE(category, expr)                   \
-  do {                                             \
-    if (observer_->wants_trace_text()) {           \
-      std::ostringstream trace_os_;                \
-      trace_os_ << expr;                           \
-      observer_->on_trace(category, trace_os_.str()); \
-    }                                              \
-  } while (0)
 
 namespace {
 /// Wall-clock nanoseconds, for the Tco (protocol processing time) metric.
@@ -60,6 +49,17 @@ CoCore::CoCore(EntityId self, CoConfig config, CoObserver* observer)
 std::size_t CoCore::idx(EntityId id) const {
   CO_EXPECT(id >= 0 && static_cast<std::size_t>(id) < config_.n);
   return static_cast<std::size_t>(id);
+}
+
+void CoCore::trace(EventId event, const PduKey& key, std::uint32_t arg) {
+  Record r;
+  r.at = now_;
+  r.seq = key.seq;
+  r.origin = key.src;
+  r.actor = self_;
+  r.event = static_cast<std::uint16_t>(event);
+  r.arg = arg;
+  observer_->on_event(r);
 }
 
 // ---------------------------------------------------------------------------
@@ -214,8 +214,7 @@ void CoCore::transmit(const std::vector<std::uint8_t>& data, DstMask dst) {
   data_accepted_since_send_ = false;
   cancel_timer(TimerId::kDefer);
 
-  observer_->on_send(ref->key(), ref->is_data());
-  CO_TRACE(cat::kSend, *ref);
+  trace(EventId::kSend, ref->key(), ref->is_data() ? 1 : 0);
   out_->emit(BroadcastEffect{Message(ref)});
 
   // Invariant: while this entity still has data interest, a defer timer is
@@ -321,8 +320,7 @@ void CoCore::on_defer_timeout() {
     // restarts the exchange: its SEQ exposes our stream's tail to peers and
     // their responses expose theirs to us.
     ++stats_.heartbeats_sent;
-    observer_->on_event(cat::CatId::kProbe, PduKey{self_, seq_}, 0);
-    CO_TRACE(cat::kProbe, "tail-loss probe (stalled with data interest)");
+    trace(EventId::kProbe, PduKey{self_, seq_});
     transmit({});
   }
   // Keep probing while the stall persists.
@@ -353,10 +351,8 @@ bool CoCore::ingest(const MessageArrived& arrival) {
     if (pdu.ack.size() != config_.n ||
         !(pdu.src >= 0 && static_cast<std::size_t>(pdu.src) < config_.n)) {
       ++stats_.malformed_dropped;
-      observer_->on_event(cat::CatId::kMalformed, pdu.key(),
-                          static_cast<std::uint32_t>(pdu.ack.size()));
-      CO_TRACE(cat::kMalformed, "malformed PDU dropped (ack lanes="
-                              << pdu.ack.size() << ", n=" << config_.n << ")");
+      trace(EventId::kMalformed, pdu.key(),
+            static_cast<std::uint32_t>(pdu.ack.size()));
       return false;
     }
     handle_data(*ref);
@@ -371,10 +367,8 @@ bool CoCore::ingest(const MessageArrived& arrival) {
         !(ret.src >= 0 && static_cast<std::size_t>(ret.src) < config_.n) ||
         !(ret.lsrc >= 0 && static_cast<std::size_t>(ret.lsrc) < config_.n)) {
       ++stats_.malformed_dropped;
-      observer_->on_event(cat::CatId::kMalformed, PduKey{ret.src, ret.lseq},
-                          static_cast<std::uint32_t>(ret.ack.size()));
-      CO_TRACE(cat::kMalformed, "malformed RET dropped (ack lanes="
-                              << ret.ack.size() << ", n=" << config_.n << ")");
+      trace(EventId::kMalformed, PduKey{ret.src, ret.lseq},
+            static_cast<std::uint32_t>(ret.ack.size()));
       return false;
     }
     handle_ret(ret);
@@ -390,8 +384,7 @@ void CoCore::handle_data(const PduRef& ref) {
   if (pdu.seq < req_[j]) {
     // Duplicate (a retransmission we no longer need).
     ++stats_.duplicates_dropped;
-    observer_->on_event(cat::CatId::kDup, pdu.key(), 0);
-    CO_TRACE(cat::kDup, pdu.key() << " already accepted");
+    trace(EventId::kDup, pdu.key());
     return;
   }
   if (pdu.seq > req_[j]) {
@@ -399,19 +392,16 @@ void CoCore::handle_data(const PduRef& ref) {
     // Selective repeat: park the out-of-order PDU, request only the gap.
     ++stats_.f1_detections;
     // key: first missing SEQ of the gap; arg: gap length (clamped to 32 bits).
-    observer_->on_event(
-        cat::CatId::kF1, PduKey{pdu.src, req_[j]},
-        static_cast<std::uint32_t>(std::min<SeqNo>(pdu.seq - req_[j], 0xffffffffu)));
-    CO_TRACE(cat::kF1, "gap [" << req_[j] << "," << pdu.seq << ") from E"
-                               << pdu.src << "; parking " << pdu.key());
+    trace(EventId::kF1, PduKey{pdu.src, req_[j]},
+          static_cast<std::uint32_t>(
+              std::min<SeqNo>(pdu.seq - req_[j], 0xffffffffu)));
     const bool inserted = parked_[j].insert(req_[j], pdu.seq, ref);
     if (inserted) {
       ++stats_.parked_out_of_order;
       std::size_t parked_total = 0;
       for (const auto& b : parked_) parked_total += b.size();
       stats_.max_parked = std::max(stats_.max_parked, parked_total);
-      CO_TRACE(cat::kPark, pdu.key() << " parked behind gap");
-      observer_->on_stage(obs::PduStage::kPark, pdu.key());
+      trace(EventId::kPark, pdu.key());
     }
     // F(2) on the parked PDU's ACK vector still applies — the F conditions
     // are checked on *receipt*, not acceptance (§4.3).
@@ -447,12 +437,9 @@ void CoCore::scan_acks_for_loss(const std::vector<SeqNo>& ack) {
           (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
       word &= word - 1;
       ++stats_.f2_detections;
-      observer_->on_event(
-          cat::CatId::kF2, PduKey{static_cast<EntityId>(k), req_[k]},
-          static_cast<std::uint32_t>(
-              std::min<SeqNo>(ack[k] - req_[k], 0xffffffffu)));
-      CO_TRACE(cat::kF2, "ACK reveals missing [" << req_[k] << "," << ack[k]
-                                                 << ") from E" << k);
+      trace(EventId::kF2, PduKey{static_cast<EntityId>(k), req_[k]},
+            static_cast<std::uint32_t>(
+                std::min<SeqNo>(ack[k] - req_[k], 0xffffffffu)));
       report_loss(static_cast<EntityId>(k), ack[k]);
     }
   }
@@ -486,7 +473,6 @@ void CoCore::accept(const PduRef& ref) {
   if (rrl_[j].size() == 1) rrl_head_seq_[j] = pdu.seq;
   stats_.max_rrl = std::max(stats_.max_rrl, rrl_[j].size());
   ++stats_.pdus_accepted;
-  CO_TRACE(cat::kAccept, pdu);
   // Selective extension: only destinations owe the application a delivery;
   // everyone still carries the PDU through the PACK/ACK pipeline so the
   // ordering/confirmation machinery stays uniform.
@@ -502,8 +488,7 @@ void CoCore::accept(const PduRef& ref) {
     }
   }
 
-  observer_->on_accept(pdu.key());
-  observer_->on_stage(obs::PduStage::kAccept, pdu.key());
+  trace(EventId::kAccept, pdu.key());
 
   scan_acks_for_loss(pdu.ack);
 
@@ -563,8 +548,7 @@ void CoCore::send_ret(EntityId lsrc, SeqNo lseq) {
   r.ack = req_;
   r.buf = free_buffer_;
   ++stats_.ret_pdus_sent;
-  observer_->on_event(cat::CatId::kRet, PduKey{lsrc, lseq}, 0);
-  CO_TRACE(cat::kRet, "request E" << lsrc << " resend up to #" << lseq);
+  trace(EventId::kRet, PduKey{lsrc, lseq});
   out_->emit(BroadcastEffect{Message(std::move(r))});
 }
 
@@ -613,8 +597,7 @@ void CoCore::retransmit_range(EntityId /*requester*/, SeqNo from,
       continue;
     sl_resent_at_[off] = now;
     ++stats_.retransmissions_sent;
-    observer_->on_event(cat::CatId::kRtx, sl_[off]->key(), 0);
-    CO_TRACE(cat::kRtx, "rebroadcast " << sl_[off]->key());
+    trace(EventId::kRtx, sl_[off]->key());
     // Same shared body as the original broadcast: a refcount bump, not a
     // deep copy.
     out_->emit(BroadcastEffect{Message(sl_[off])});
@@ -749,10 +732,8 @@ bool CoCore::pack_from(std::size_t j) {
     update_pal_row(p.src, p.ack);
     packed_high_[j] = p.seq;
     note_pack_time(entry);
-    observer_->on_stage(obs::PduStage::kPack, p.key());
+    trace(EventId::kPack, p.key());
     ++stats_.pre_acknowledged;
-    CO_TRACE(cat::kPack, p.key() << " pre-acknowledged (minAL_" << j << "="
-                                 << min_al_[j] << ")");
     prl_.cpi_insert(std::move(entry.pdu), entry.accepted_at);
     stats_.max_prl = std::max(stats_.max_prl, prl_.size());
     progress = true;
@@ -778,15 +759,12 @@ void CoCore::run_ack_action() {
     note_ack_time(entry);
     const bool deliver = p.is_data() && dst_contains(p.dst, self_) &&
                          config_.mutation != Mutation::kDeliverOnAccept;
-    // kDeliver precedes the kAck that completes the span (same sim time);
-    // the null observer makes these calls free enough to leave ungated.
-    if (deliver) observer_->on_stage(obs::PduStage::kDeliver, p.key());
-    observer_->on_stage(obs::PduStage::kAck, p.key());
-    CO_TRACE(cat::kAck, p.key() << " acknowledged");
+    // kDeliver precedes the kAck that completes the span (same time).
+    if (deliver) trace(EventId::kDeliver, p.key());
+    trace(EventId::kAck, p.key());
     if (deliver) {
       --undelivered_data_;
       ++stats_.delivered_to_app;
-      CO_TRACE(cat::kDeliver, p.key() << " -> application");
       out_->emit(DeliverEffect{entry.pdu});
     }
   }

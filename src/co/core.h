@@ -12,6 +12,7 @@
 // monotonic-clock timer wheel), and the fuzz driver's effect recorder.
 // There are no callbacks, no virtual dispatch and no std::function on this
 // path; the only observation channel is the synchronous CoObserver, which
+// receives one trace record per protocol milestone (src/co/observer.h) and
 // is introspection, not I/O.
 //
 // Protocol state (paper §4.1):
@@ -38,9 +39,8 @@
 #pragma once
 
 #include <deque>
-#include <sstream>
-#include <string_view>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/causality/pdu_key.h"
@@ -56,7 +56,6 @@
 #include "src/co/time.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
-#include "src/obs/stage.h"
 
 namespace co::proto {
 
@@ -150,9 +149,9 @@ std::ostream& operator<<(std::ostream& os, const CoEntityStats& s);
 
 class CoCore {
  public:
-  /// `observer` is the unified observation point (src/co/observer.h); not
-  /// owned. Null selects the shared no-op null_observer(), so the core
-  /// never null-checks before notifying.
+  /// `observer` receives one record per protocol milestone
+  /// (src/co/observer.h); not owned. Null selects the shared no-op
+  /// null_observer(), so the core never null-checks before notifying.
   CoCore(EntityId self, CoConfig config, CoObserver* observer = nullptr);
 
   CoCore(const CoCore&) = delete;
@@ -239,6 +238,10 @@ class CoCore {
 
  private:
   std::size_t idx(EntityId id) const;
+
+  /// Report one protocol milestone about `key` to the observer, stamped
+  /// with the current input's time and this entity as the actor.
+  void trace(EventId event, const PduKey& key, std::uint32_t arg = 0);
 
   /// Dispatch one input. Returns true when the receipt pipeline must run at
   /// the end of the batch (a same-cluster PDU or RET was ingested).

@@ -1,74 +1,44 @@
 // CoObserver — the single protocol-observation interface.
 //
-// It replaces the former quartet of optional std::function trace hooks
-// (trace_send, trace_accept, trace_event, trace_stage) and the transport
-// NodeConfig taps with one virtual interface:
-//   * one pointer held by CoCore instead of four std::functions (each of
-//     which cost an allocation and a null check per milestone);
-//   * a null-object default (null_observer()) so emitters never branch on
-//     "is a hook set" — they always call through the observer;
-//   * MulticastObserver to combine independent consumers (a cluster's
-//     bookkeeping + a user's tap) without the callers knowing.
+// CoCore reports every protocol milestone as one 32-byte trace record
+// (src/obs/trace/record.h) through on_event():
 //
-// Callback contract (unchanged from the old hooks, so trace digests stay
-// bit-identical across the migration):
-//   on_send    once per original broadcast, never for retransmissions;
-//              is_data distinguishes application PDUs from ack-only
-//              confirmations.
-//   on_accept  the acceptance action fired for `key`.
-//   on_stage   lifecycle milestone for the span tracker; at the same sim
-//              time kDeliver is reported before the kAck that completes
-//              the span.
-//   on_event   structured, text-free protocol event in the interned
-//              categories of src/co/trace_categories.h, emitted at the
-//              off-milestone sites on_send/on_stage do not cover (dup,
-//              malformed, f1, f2, ret, rtx, probe). `arg` is a small
-//              category-specific payload (see each emitter). Fired
-//              unconditionally — these sites are off the steady-state hot
-//              path, and the null observer makes the call free.
-//   on_trace   human-readable protocol trace in the categories of
-//              src/co/trace_categories.h. Emitters format the text only
-//              while wants_trace_text() is true, so observers that ignore
-//              text must keep returning false to stay zero-cost.
+//   at      the step's Input::at — the core reads no clock, but every
+//           driver stamps its inputs from its own clock, so records carry
+//           sim time in the simulator and monotonic time on the host;
+//   actor   the reporting entity (the core's self);
+//   origin, seq  the subject PDU (see each EventId for the exceptions:
+//           f1/f2 name the first missing SEQ, ret the requested range);
+//   event, arg   the EventId and its small payload (src/obs/trace/events.h);
+//   stream  0 — the Tracer assigns it when the record enters a ring.
+//
+// Because a record names its entity and its time, one observer can serve
+// any number of cores: CoCluster installs one for all n entities, the host
+// one per entity runtime, and consumers (delivery bookkeeping, the
+// happened-before oracle, the span tracker, the binary Tracer, the fuzz
+// digest) all read the same record.
+//
+// Order: records arrive synchronously, in protocol order. At the same time
+// kDeliver precedes the kAck that completes the PDU's span, and kAccept
+// follows the (optional) kPark of the same PDU.
+//
+// The null object (null_observer()) is the core's default, so the core
+// never branches on "is anyone listening".
 #pragma once
 
-#include <cstdint>
-#include <string_view>
-#include <vector>
-
-#include "src/causality/pdu_key.h"
-#include "src/co/trace_categories.h"
-#include "src/obs/stage.h"
+#include "src/obs/trace/events.h"
+#include "src/obs/trace/record.h"
 
 namespace co::proto {
 
-using causality::PduKey;
+using obs::trace::EventId;
+using obs::trace::Record;
 
 class CoObserver {
  public:
   virtual ~CoObserver() = default;
 
-  virtual void on_send(const PduKey& key, bool is_data) {
-    (void)key;
-    (void)is_data;
-  }
-  virtual void on_accept(const PduKey& key) { (void)key; }
-  virtual void on_stage(obs::PduStage stage, const PduKey& key) {
-    (void)stage;
-    (void)key;
-  }
-  virtual void on_event(cat::CatId id, const PduKey& key, std::uint32_t arg) {
-    (void)id;
-    (void)key;
-    (void)arg;
-  }
-  virtual void on_trace(std::string_view category, std::string_view text) {
-    (void)category;
-    (void)text;
-  }
-  /// Gate for on_trace: emitters skip the (costly) text formatting while
-  /// this is false. The base observer observes nothing.
-  virtual bool wants_trace_text() const { return false; }
+  virtual void on_event(const Record& r) { (void)r; }
 };
 
 /// Shared no-op observer — the null object CoCore's observer defaults to,
@@ -77,42 +47,5 @@ inline CoObserver& null_observer() {
   static CoObserver obs;
   return obs;
 }
-
-/// Fans every callback out to a list of child observers, in insertion
-/// order. Non-owning; ignores nullptr children so call sites can add
-/// optional taps unconditionally.
-class MulticastObserver final : public CoObserver {
- public:
-  MulticastObserver() = default;
-
-  void add(CoObserver* child) {
-    if (child != nullptr) children_.push_back(child);
-  }
-  std::size_t size() const { return children_.size(); }
-
-  void on_send(const PduKey& key, bool is_data) override {
-    for (CoObserver* c : children_) c->on_send(key, is_data);
-  }
-  void on_accept(const PduKey& key) override {
-    for (CoObserver* c : children_) c->on_accept(key);
-  }
-  void on_stage(obs::PduStage stage, const PduKey& key) override {
-    for (CoObserver* c : children_) c->on_stage(stage, key);
-  }
-  void on_event(cat::CatId id, const PduKey& key, std::uint32_t arg) override {
-    for (CoObserver* c : children_) c->on_event(id, key, arg);
-  }
-  void on_trace(std::string_view category, std::string_view text) override {
-    for (CoObserver* c : children_) c->on_trace(category, text);
-  }
-  bool wants_trace_text() const override {
-    for (const CoObserver* c : children_)
-      if (c->wants_trace_text()) return true;
-    return false;
-  }
-
- private:
-  std::vector<CoObserver*> children_;
-};
 
 }  // namespace co::proto

@@ -9,86 +9,35 @@
 
 namespace co::proto {
 
-// Per-entity observation point. Bookkeeping happens first (delivery
-// expectations, oracle, span tracker, trace sink), then every callback is
-// forwarded to the user observer — so a user tap sees the cluster's state
-// already consistent with the event it is being told about.
-class CoCluster::EntityObserver final : public CoObserver {
- public:
-  EntityObserver(CoCluster& cluster, EntityId id)
-      : cluster_(cluster), id_(id) {}
-
-  void on_send(const PduKey& key, bool is_data) override {
-    CoCluster& c = cluster_;
-    c.sent_at_.emplace(key, c.sched_.now());
-    if (c.options_.obs)
-      c.options_.obs->spans.on_send(key, is_data, c.sched_.now());
-    if (is_data) {
-      c.data_sent_.push_back(key);
-      auto& pending = c.pending_dst_[static_cast<std::size_t>(id_)];
-      const DstMask dst = pending.empty() ? kEveryone : pending.front();
-      if (!pending.empty()) pending.pop_front();
-      c.sent_dst_.emplace(key, dst);
-      for (std::size_t e = 0; e < c.expected_deliveries_.size(); ++e)
-        if (dst_contains(dst, static_cast<EntityId>(e)))
-          ++c.expected_deliveries_[e];
-    }
-    if (c.trace_) c.trace_->on_send(id_, key);
-    trace_emit(obs::trace::EventId::kSend, key, is_data ? 1 : 0);
-    user().on_send(key, is_data);
+void CoCluster::note_send(EntityId sender, const PduKey& key, bool is_data,
+                          sim::SimTime at) {
+  sent_at_.emplace(key, at);
+  if (is_data) {
+    data_sent_.push_back(key);
+    auto& pending = pending_dst_[static_cast<std::size_t>(sender)];
+    const DstMask dst = pending.empty() ? kEveryone : pending.front();
+    if (!pending.empty()) pending.pop_front();
+    sent_dst_.emplace(key, dst);
+    for (std::size_t e = 0; e < expected_deliveries_.size(); ++e)
+      if (dst_contains(dst, static_cast<EntityId>(e)))
+        ++expected_deliveries_[e];
   }
+  if (trace_) trace_->on_send(sender, key);
+}
 
-  void on_accept(const PduKey& key) override {
-    // No trace_emit here: the acceptance milestone reaches the tracer as
-    // the kAccept stage record (on_stage), once.
-    if (cluster_.trace_) cluster_.trace_->on_accept(id_, key);
-    user().on_accept(key);
+void CoCluster::on_event(const Record& r) {
+  const PduKey key{r.origin, r.seq};
+  switch (static_cast<EventId>(r.event)) {
+    case EventId::kSend: note_send(r.actor, key, r.arg != 0, r.at); break;
+    case EventId::kAccept:
+      if (trace_) trace_->on_accept(r.actor, key);
+      break;
+    default: break;
   }
-
-  void on_stage(obs::PduStage stage, const PduKey& key) override {
-    if (cluster_.options_.obs)
-      cluster_.options_.obs->spans.on_stage(id_, stage, key,
-                                            cluster_.sched_.now());
-    trace_emit(obs::trace::to_event(obs::stage_cat(stage)), key);
-    user().on_stage(stage, key);
-  }
-
-  void on_event(cat::CatId id, const PduKey& key,
-                std::uint32_t arg) override {
-    trace_emit(obs::trace::to_event(id), key, arg);
-    user().on_event(id, key, arg);
-  }
-
-  void on_trace(std::string_view category, std::string_view text) override {
-    if (cluster_.options_.trace_sink)
-      cluster_.options_.trace_sink->event(cluster_.sched_.now(), id_, category,
-                                          text);
-    user().on_trace(category, text);
-  }
-
-  bool wants_trace_text() const override {
-    return cluster_.options_.trace_sink != nullptr ||
-           user().wants_trace_text();
-  }
-
- private:
-  CoObserver& user() const {
-    return cluster_.options_.observer != nullptr ? *cluster_.options_.observer
-                                                 : null_observer();
-  }
-
-  /// Stamp scheduler time onto a binary trace record; the entity's track is
-  /// this observer's entity, the causal identity is the PduKey.
-  void trace_emit(obs::trace::EventId event, const PduKey& key,
-                  std::uint32_t arg = 0) const {
-    if (cluster_.options_.tracer != nullptr)
-      cluster_.options_.tracer->emit(event, cluster_.sched_.now(), id_,
-                                     key.src, key.seq, arg);
-  }
-
-  CoCluster& cluster_;
-  EntityId id_;
-};
+  if (options_.obs) options_.obs->spans.on_event(r);
+  if (options_.tracer) options_.tracer->emit(r);
+  if (options_.observer) options_.observer->on_event(r);
+}
 
 CoCluster::CoCluster(ClusterOptions options) : options_(std::move(options)) {
   auto& proto = options_.proto;
@@ -103,9 +52,8 @@ CoCluster::CoCluster(ClusterOptions options) : options_(std::move(options)) {
 
   for (std::size_t i = 0; i < proto.n; ++i) {
     const auto id = static_cast<EntityId>(i);
-    observers_.push_back(std::make_unique<EntityObserver>(*this, id));
     entities_.push_back(
-        std::make_unique<CoCore>(id, proto, observers_.back().get()));
+        std::make_unique<CoCore>(id, proto, static_cast<CoObserver*>(this)));
     driver::SimDriver::Hooks hooks;
     hooks.broadcast = [this, id](Message m) {
       network_->broadcast(id, std::move(m));

@@ -4,9 +4,10 @@
 // This is the top-level convenience used by tests, examples and benches:
 // it owns the scheduler, the network, the n sans-io cores and the SimDriver
 // that animates each of them, per-entity delivery logs, and the
-// happened-before trace. Each entity observes protocol milestones through a
-// per-entity CoObserver the cluster installs; user taps ride behind it via
-// ClusterOptions::observer (or ClusterBuilder::observer).
+// happened-before trace. The cluster itself is the one CoObserver of all n
+// cores: every protocol record (src/co/observer.h) feeds its bookkeeping,
+// then the optional span tracker, Tracer and user observer
+// (ClusterOptions::observer, or ClusterBuilder::observer).
 #pragma once
 
 #include <cstdint>
@@ -24,7 +25,6 @@
 #include "src/driver/sim_driver.h"
 #include "src/net/mc_network.h"
 #include "src/sim/scheduler.h"
-#include "src/sim/trace.h"
 
 namespace co::obs {
 struct Observability;
@@ -40,25 +40,21 @@ struct ClusterOptions {
   CoConfig proto;      // proto.n is authoritative for the cluster size
   net::McConfig net;   // net.n is overwritten with proto.n
   bool record_trace = true;
-  /// Optional protocol-event sink (not owned); see sim::OstreamTrace /
-  /// sim::RingTrace. Null = tracing off (zero cost).
-  sim::TraceSink* trace_sink = nullptr;
   /// Optional observability bundle (not owned; must be built for this n).
   /// When set, the cluster feeds the span tracker from the entity lifecycle
   /// milestones and registers entity/network/scheduler instruments with the
   /// registry. Null = introspection off (one skipped branch per milestone).
   obs::Observability* obs = nullptr;
   /// Optional user observer (not owned): sees every entity's protocol
-  /// milestones after the cluster's own bookkeeping. Combine several with
-  /// MulticastObserver. Null = no tap.
+  /// records, after the cluster's own bookkeeping. Null = no tap.
   CoObserver* observer = nullptr;
   /// Optional effect-stream tap (not owned): sees every entity's effect
   /// batches before the SimDriver replays them (src/driver/effect_tap.h).
   /// The fuzz driver records and digests the stream this way. Null = off.
   driver::EffectTap* effect_tap = nullptr;
-  /// Optional binary event tracer (not owned): every entity's protocol
-  /// milestones become 32-byte records stamped with scheduler time
-  /// (src/obs/trace). Null = off (one skipped branch per milestone).
+  /// Optional binary event tracer (not owned): receives every entity's
+  /// protocol records, stamped with scheduler time (src/obs/trace).
+  /// Null = off (one skipped branch per record).
   obs::trace::Tracer* tracer = nullptr;
 };
 
@@ -69,7 +65,7 @@ struct Delivery {
   sim::SimTime at = 0;
 };
 
-class CoCluster {
+class CoCluster final : private CoObserver {
  public:
   explicit CoCluster(ClusterOptions options);
   ~CoCluster();
@@ -130,10 +126,13 @@ class CoCluster {
   std::string dump_entity_stats() const;
 
  private:
-  /// Per-entity CoObserver the cluster installs: keeps the delivery
-  /// bookkeeping, oracle, span tracker and trace sink fed, then forwards
-  /// every callback to the user observer (ClusterOptions::observer).
-  class EntityObserver;
+  /// The observer of every core: delivery bookkeeping and the oracle
+  /// first, then the span tracker, the Tracer and the user observer — so a
+  /// user tap sees the cluster's state already consistent with the record.
+  void on_event(const Record& r) override;
+  /// Bookkeeping for an original broadcast (kSend record).
+  void note_send(EntityId sender, const PduKey& key, bool is_data,
+                 sim::SimTime at);
 
   /// Register callback instruments for every entity, the network and the
   /// scheduler with options_.obs->registry (ctor tail, obs attached only).
@@ -144,7 +143,6 @@ class CoCluster {
   sim::Scheduler sched_;
   std::unique_ptr<net::McNetwork<Message>> network_;
   std::unique_ptr<causality::TraceRecorder> trace_;
-  std::vector<std::unique_ptr<EntityObserver>> observers_;
   std::vector<std::unique_ptr<CoCore>> entities_;
   std::vector<std::unique_ptr<driver::SimDriver>> drivers_;
   std::vector<std::vector<Delivery>> deliveries_;
@@ -163,7 +161,7 @@ class CoCluster {
 ///
 ///   auto cluster = ClusterBuilder(8)
 ///                      .window(4)
-///                      .trace_sink(&sink)
+///                      .tracer(&tracer)
 ///                      .observer(&tap)
 ///                      .build();
 ///
@@ -192,10 +190,6 @@ class ClusterBuilder {
   }
   ClusterBuilder& record_trace(bool on) {
     options_.record_trace = on;
-    return *this;
-  }
-  ClusterBuilder& trace_sink(sim::TraceSink* sink) {
-    options_.trace_sink = sink;
     return *this;
   }
   ClusterBuilder& observability(obs::Observability* bundle) {

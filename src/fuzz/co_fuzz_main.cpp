@@ -6,7 +6,8 @@
 //
 //   co_fuzz --replay FILE
 //       Load an artifact, re-run its scenario, and verify the violation
-//       reproduces with the identical execution digest. Exit 0 only on an
+//       reproduces with the identical record and effect digests (a v1
+//       artifact's text-era record digest is skipped). Exit 0 only on an
 //       exact byte-for-byte reproduction.
 //
 //   co_fuzz --shrink SEED [--mutation M] [--out FILE]
@@ -181,6 +182,9 @@ int cmd_replay(const Args& a) {
               ce.scenario.summary().c_str(), ce.mutation.c_str(),
               ce.violation_kind.c_str());
   const ReplayVerdict v = replay(ce);
+  if (ce.trace_events == 0)
+    std::printf("co_fuzz: v1 artifact: text-era trace digest not compared; "
+                "checking the verdict and effect digest\n");
   if (v.exact) {
     std::printf("co_fuzz: reproduced byte-for-byte (digest %016llx, "
                 "%llu events, effects %016llx/%llu): %s\n",

@@ -22,6 +22,9 @@ struct Counterexample {
   std::string mutation;          // mutation the run was executed under
   std::string violation_kind;
   std::string violation_detail;
+  // Record digest (RunReport::digest). Zero trace_events marks it absent:
+  // a v1 artifact's text-trace digest is dropped on load, and replay then
+  // checks the verdict and the effect digest only.
   std::uint64_t digest = 0;
   std::uint64_t trace_events = 0;
 

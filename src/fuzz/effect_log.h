@@ -1,3 +1,6 @@
+// The two digests of a fuzz run: RecordDigest over the protocol records,
+// EffectRecorder over the sans-io effect stream.
+//
 // EffectRecorder — folds the effect stream of a fuzz run into a digest.
 //
 // The CoCluster's SimDriver calls the tap once per non-empty step, before
@@ -15,9 +18,41 @@
 #include <string>
 #include <vector>
 
+#include "src/co/observer.h"
 #include "src/driver/effect_tap.h"
 
 namespace co::fuzz {
+
+/// Order-sensitive FNV-1a digest over every protocol record of a run (the
+/// CoCluster's user observer). It folds at, seq, origin, actor, event and
+/// arg of each record; `stream` is the Tracer's business and stays out.
+class RecordDigest final : public proto::CoObserver {
+ public:
+  void on_event(const proto::Record& r) override {
+    ++events_;
+    mix(&r.at, sizeof r.at);
+    mix(&r.seq, sizeof r.seq);
+    mix(&r.origin, sizeof r.origin);
+    mix(&r.actor, sizeof r.actor);
+    mix(&r.event, sizeof r.event);
+    mix(&r.arg, sizeof r.arg);
+  }
+
+  std::uint64_t digest() const { return hash_; }
+  std::uint64_t events() const { return events_; }
+
+ private:
+  void mix(const void* data, std::size_t len) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < len; ++i) {
+      hash_ ^= p[i];
+      hash_ *= 0x100000001b3ull;  // FNV prime
+    }
+  }
+
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;  // FNV offset basis
+  std::uint64_t events_ = 0;
+};
 
 class EffectRecorder final : public driver::EffectTap {
  public:

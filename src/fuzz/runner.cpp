@@ -7,7 +7,6 @@
 #include "src/fuzz/effect_log.h"
 #include "src/obs/observe.h"
 #include "src/obs/trace/tracer.h"
-#include "src/sim/trace.h"
 
 namespace co::fuzz {
 
@@ -36,7 +35,7 @@ proto::Mutation mutation_from_name(const std::string& name) {
 RunReport run_scenario(const Scenario& scenario, const RunOptions& options) {
   RunReport report;
 
-  sim::DigestTrace digest;
+  RecordDigest digest;
   EffectRecorder effect_recorder;
   obs::Observability observability(scenario.n);
   // Always-on flight recorder: a ring of the newest binary event records,
@@ -50,7 +49,7 @@ RunReport run_scenario(const Scenario& scenario, const RunOptions& options) {
   o.proto.mutation = options.mutation;
   o.proto.kernels = options.kernels;
   o.net = scenario.net_config();
-  o.trace_sink = &digest;
+  o.observer = &digest;
   o.obs = &observability;
   o.effect_tap = &effect_recorder;
   o.tracer = &flight;

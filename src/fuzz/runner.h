@@ -12,9 +12,22 @@
 //   4. knowledge     — the AL/PAL vector invariants exposed by
 //                      CoEntity::knowledge_invariant_violation.
 //
-// Every run records a DigestTrace over the full protocol event stream; two
-// runs of the same Scenario produce the same digest bit-for-bit, which is
-// what `co_fuzz --replay` verifies.
+// Every run folds its full protocol record stream into a RecordDigest
+// (src/fuzz/effect_log.h); two runs of the same Scenario produce the same
+// digest bit-for-bit, which is what `co_fuzz --replay` verifies.
+//
+// The record digest is as strict as the text digest it replaced, although
+// a record carries no ACK vector, BUF field or minAL value:
+//   * a sent PDU's ACK vector is its sender's REQ vector at send time, and
+//     REQ changes only on acceptance — every accept is a record, stamped
+//     with its actor and time, so the ACK of every kSend is determined by
+//     the records before it;
+//   * minAL (the PACK condition's bound) is a function of the ACK vectors
+//     of accepted PDUs, so it is determined the same way;
+//   * BUF is the simulated network's free-buffer sample, and the network
+//     is deterministic given the same sends, drops and times.
+// A divergence in any of them changes a later record's time, order or
+// subject, which the digest folds.
 #pragma once
 
 #include <optional>
@@ -47,8 +60,8 @@ struct RunReport {
   std::string violation_kind;    // "liveness", "causality", "knowledge", ...
   std::string violation_detail;  // human-readable description
 
-  std::uint64_t digest = 0;        // DigestTrace over all protocol events
-  std::uint64_t trace_events = 0;  // events folded into the digest
+  std::uint64_t digest = 0;        // RecordDigest over all protocol records
+  std::uint64_t trace_events = 0;  // records folded into the digest
 
   /// Digest of the sans-io effect stream (EffectRecorder over every step's
   /// EffectBatch) and the number of effects folded in. Pins the core's

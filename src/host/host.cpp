@@ -117,9 +117,8 @@ HostBuilder& HostBuilder::shards(std::size_t count) {
   return *this;
 }
 
-HostBuilder& HostBuilder::entity(EntityId id, transport::UdpEndpoint ep,
-                                 proto::CoObserver* tap) {
-  entities_.push_back(LocalEntity{id, ep, tap});
+HostBuilder& HostBuilder::entity(EntityId id, transport::UdpEndpoint ep) {
+  entities_.push_back(LocalEntity{id, ep});
   return *this;
 }
 
@@ -219,7 +218,7 @@ std::unique_ptr<Host> HostBuilder::build() {
   }
 
   for (std::size_t i = 0; i < entities_.size(); ++i) {
-    const auto [id, ep, tap] = entities_[i];
+    const auto [id, ep] = entities_[i];
     CO_EXPECT_MSG(id >= 0 && static_cast<std::size_t>(id) < proto_.n,
                   "local entity id E" << id << " outside cluster of "
                                       << proto_.n);
@@ -233,15 +232,6 @@ std::unique_ptr<Host> HostBuilder::build() {
     cfg.proto = proto_;
     cfg.socket.bind_loopback(ep.port);
     cfg.observer = observer_;
-    if (tap != nullptr && observer_ != nullptr) {
-      auto fan = std::make_unique<proto::MulticastObserver>();
-      fan->add(observer_);
-      fan->add(tap);
-      cfg.observer = fan.get();
-      host->owned_observers_.push_back(std::move(fan));
-    } else if (tap != nullptr) {
-      cfg.observer = tap;
-    }
     cfg.tracer = tracer_;
     cfg.send_loss_probability = send_loss_;
     cfg.loss_seed = loss_seed_ + static_cast<std::uint64_t>(id);

@@ -28,7 +28,8 @@
 //     different threads concurrently.
 //   * the deliver callback runs on the shard thread owning the delivering
 //     entity; the builder-supplied observer runs on shard threads too and
-//     must be thread-safe if entities span shards.
+//     must be thread-safe if entities span shards. It sees every local
+//     entity's protocol records; Record::actor says which entity reported.
 //   * wire_stats()/protocol_stats() are stable after stop(); while running
 //     they are best-effort (counters mutate on shard threads).
 #pragma once
@@ -120,8 +121,6 @@ class Host {
   DeliverFn deliver_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<EntityRuntime*> by_entity_;  // EntityId -> runtime (or null)
-  // Fan-outs combining the shared observer with per-entity taps.
-  std::vector<std::unique_ptr<proto::MulticastObserver>> owned_observers_;
   std::size_t locals_ = 0;
   std::chrono::steady_clock::time_point epoch_;
   std::vector<std::thread> threads_;
@@ -153,20 +152,17 @@ class HostBuilder {
   HostBuilder& window(SeqNo w);
   HostBuilder& shards(std::size_t count);
   /// Declare a local entity bound to `ep` (default: loopback, ephemeral
-  /// port — resolved after build() via Host::endpoint()). `tap` is an
-  /// optional per-entity observer (the CoObserver callbacks carry no
-  /// receiver identity, so per-entity oracles need one tap per entity); it
-  /// runs alongside the shared observer() when both are set.
+  /// port — resolved after build() via Host::endpoint()).
   HostBuilder& entity(EntityId id,
                       transport::UdpEndpoint ep =
-                          transport::UdpEndpoint::loopback(0),
-                      proto::CoObserver* tap = nullptr);
+                          transport::UdpEndpoint::loopback(0));
   /// Declare a remote entity's endpoint (may also be set later, while the
   /// host is bound, via Host::set_peer()).
   HostBuilder& peer(EntityId id, transport::UdpEndpoint ep);
   HostBuilder& deliver(DeliverFn fn);
-  /// Shared protocol observer (not owned; runs on shard threads — must be
-  /// thread-safe when entities span shards).
+  /// Shared protocol observer (not owned): receives every local entity's
+  /// records, keyed by Record::actor. Runs on shard threads — must be
+  /// thread-safe when entities span shards.
   HostBuilder& observer(proto::CoObserver* tap);
   /// Shared binary event tracer (not owned; one lock-free stream per shard
   /// thread, so the merged snapshot is the cross-shard record).
@@ -201,7 +197,6 @@ class HostBuilder {
   struct LocalEntity {
     EntityId id;
     transport::UdpEndpoint endpoint;
-    proto::CoObserver* observer = nullptr;
   };
   std::vector<LocalEntity> entities_;
   std::vector<std::pair<EntityId, transport::UdpEndpoint>> remote_peers_;

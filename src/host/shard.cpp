@@ -26,26 +26,18 @@ EntityRuntime::EntityRuntime(EntityRuntimeConfig config, Shard& shard)
       shard_(shard),
       socket_(std::move(config.socket)),
       tracer_(config.tracer),
+      observer_(config.observer),
       submissions_(config.submit_queue_capacity),
       send_loss_probability_(config.send_loss_probability),
       loss_rng_(config.loss_seed) {
   CO_EXPECT(id_ >= 0 && static_cast<std::size_t>(id_) < n_);
   CO_EXPECT_MSG(socket_.is_open(), "entity socket must be bound");
 
-  proto::CoObserver* observer = config.observer;
-  if (tracer_ != nullptr) {
-    trace_bridge_ =
-        std::make_unique<obs::trace::TracingObserver>(*tracer_, id_);
-    if (observer != nullptr) {
-      observer_fanout_ = std::make_unique<proto::MulticastObserver>();
-      observer_fanout_->add(trace_bridge_.get());
-      observer_fanout_->add(observer);
-      observer = observer_fanout_.get();
-    } else {
-      observer = trace_bridge_.get();
-    }
-  }
-  core_ = std::make_unique<proto::CoCore>(id_, config.proto, observer);
+  // Unobserved entities keep the core's null observer: no per-record work.
+  const bool observed = tracer_ != nullptr || observer_ != nullptr;
+  core_ = std::make_unique<proto::CoCore>(
+      id_, config.proto,
+      observed ? static_cast<proto::CoObserver*>(this) : nullptr);
   driver_ = std::make_unique<driver::RealtimeDriver>(
       *core_, static_cast<driver::RealtimeEnv&>(*this));
   driver_->set_tracer(tracer_);
@@ -78,6 +70,11 @@ void EntityRuntime::broadcast(const proto::Message& msg) {
 
 void EntityRuntime::deliver(const proto::CoPdu& pdu) {
   shard_.deliver_from(*this, pdu);
+}
+
+void EntityRuntime::on_event(const proto::Record& r) {
+  if (tracer_ != nullptr) tracer_->emit(r);
+  if (observer_ != nullptr) observer_->on_event(r);
 }
 
 // --- Shard -------------------------------------------------------------------
@@ -166,7 +163,6 @@ void Shard::pump_self(EntityRuntime& e, time::Tick now) {
     for (proto::Message& msg : e.self_loop_)
       e.arrivals_.push_back(proto::MessageArrived{e.id_, std::move(msg)});
     e.self_loop_.clear();
-    if (e.trace_bridge_) e.trace_bridge_->set_now(now);
     e.driver_->on_messages(e.arrivals_, now);
   }
 }
@@ -175,7 +171,6 @@ bool Shard::drain_submissions(EntityRuntime& e, time::Tick now) {
   bool any = false;
   EntityRuntime::Submission s;
   while (e.submissions_.try_pop(s)) {
-    if (e.trace_bridge_) e.trace_bridge_->set_now(now);
     e.driver_->submit(std::move(s.data), s.dst, now);
     any = true;
   }
@@ -223,7 +218,6 @@ bool Shard::ingest_socket(EntityRuntime& e, time::Tick now) {
       }
     }
     if (!e.arrivals_.empty()) {
-      if (e.trace_bridge_) e.trace_bridge_->set_now(now);
       e.driver_->on_messages(e.arrivals_, now);
       pump_self(e, now);
     }
@@ -253,7 +247,6 @@ bool Shard::poll_once(std::chrono::milliseconds max_wait) {
   pass_now_ = now;
   for (auto& e : entities_) {
     activity |= drain_submissions(*e, now);
-    if (e->trace_bridge_) e->trace_bridge_->set_now(now);
     const bool fired = e->driver_->run_timers(now) > 0;
     if (fired) pump_self(*e, now);
     activity |= fired;

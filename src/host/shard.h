@@ -70,7 +70,7 @@
 #include "src/driver/realtime_driver.h"
 #include "src/host/spsc.h"
 #include "src/host/wakeup.h"
-#include "src/obs/trace/bridge.h"
+#include "src/obs/trace/tracer.h"
 #include "src/transport/udp.h"
 
 namespace co::host {
@@ -173,8 +173,11 @@ struct EntityRuntimeConfig {
 class Shard;
 
 /// One local entity, owned by its shard: core + driver + socket + queues.
-/// Everything except submit() runs on the shard thread.
-class EntityRuntime final : private driver::RealtimeEnv {
+/// Everything except submit() runs on the shard thread. The runtime is its
+/// core's observer while a tracer or an observer is attached: each record
+/// goes to the shard's Tracer stream, then to the shared observer.
+class EntityRuntime final : private driver::RealtimeEnv,
+                            private proto::CoObserver {
  public:
   EntityRuntime(EntityRuntimeConfig config, Shard& shard);
 
@@ -212,6 +215,10 @@ class EntityRuntime final : private driver::RealtimeEnv {
   void broadcast(const proto::Message& msg) override;
   void deliver(const proto::CoPdu& pdu) override;
 
+  // proto::CoObserver — the core's records, already stamped with the
+  // shard clock (every driver call passes its `now` as Input::at).
+  void on_event(const proto::Record& r) override;
+
   struct Submission {
     std::vector<std::uint8_t> data;
     proto::DstMask dst = proto::kEveryone;
@@ -222,11 +229,7 @@ class EntityRuntime final : private driver::RealtimeEnv {
   Shard& shard_;
   transport::UdpSocket socket_;
   obs::trace::Tracer* tracer_;
-  // Tracing plumbing (engaged only when a tracer is attached): the bridge
-  // stamps the shard clock onto core milestones; the multicast keeps a
-  // user observer working alongside it.
-  std::unique_ptr<obs::trace::TracingObserver> trace_bridge_;
-  std::unique_ptr<proto::MulticastObserver> observer_fanout_;
+  proto::CoObserver* observer_;
   std::unique_ptr<proto::CoCore> core_;
   std::unique_ptr<driver::RealtimeDriver> driver_;
   SpscRing<Submission> submissions_;

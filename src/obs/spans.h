@@ -1,9 +1,10 @@
 // Per-PDU lifecycle span tracker.
 //
-// A span starts when a data PDU is broadcast and collects, per observer
-// entity, the park/accept/pack/deliver/ack milestones the
-// CoObserver::on_stage callback reports. From those it derives the paper's stage
-// decomposition as per-entity latency histograms (milliseconds):
+// A span starts when a data PDU is broadcast (a kSend record with arg 1)
+// and collects, per observer entity (the record's actor), the park/accept/
+// pack/deliver/ack records CoCore reports (src/co/observer.h). From those
+// it derives the paper's stage decomposition as per-entity latency
+// histograms (milliseconds):
 //
 //   network   = first receipt − send      (MC service + ingress queueing)
 //   park      = accept − first receipt    (out-of-order parking, §4.3)
@@ -26,9 +27,9 @@
 
 #include "src/causality/pdu_key.h"
 #include "src/common/types.h"
-#include "src/obs/metrics.h"
-#include "src/obs/stage.h"
 #include "src/co/time.h"
+#include "src/obs/metrics.h"
+#include "src/obs/trace/record.h"
 
 namespace co::obs {
 
@@ -59,15 +60,12 @@ class PduSpanTracker {
   /// Application DT request queued at `entity` (SEQ not yet assigned).
   void on_submit(EntityId entity, time::Tick at);
 
-  /// Original broadcast of `key` (never retransmissions). Data PDUs open a
-  /// span and consume the oldest pending submit at the source; ack-only
-  /// PDUs are not tracked.
-  void on_send(const causality::PduKey& key, bool is_data, time::Tick at);
-
-  /// Milestone `stage` for `key` observed at `observer`. Unknown keys
-  /// (ack-only PDUs, spans opened before attach) are ignored.
-  void on_stage(EntityId observer, PduStage stage, const causality::PduKey& key,
-                time::Tick at);
+  /// One protocol record. A data kSend (arg 1) opens a span and consumes
+  /// the oldest pending submit at the source; ack-only sends are not
+  /// tracked. kPark/kAccept/kPack/kDeliver/kAck advance the span of
+  /// (origin, seq) at the record's actor; unknown keys (ack-only PDUs,
+  /// spans opened before attach) and every other event are ignored.
+  void on_event(const trace::Record& r);
 
   /// Completed spans, slowest first (at most top_k).
   std::vector<SlowPdu> slowest() const;

@@ -1,34 +1,33 @@
-// Interned trace event ids.
+// Interned trace event ids — the one event vocabulary of the code base.
 //
-// Protocol events reuse the co::proto::cat::CatId values verbatim (pinned
-// by static_asserts below), so a record's `event` field needs no mapping
-// table to recover the canonical category string. Driver/transport events
-// occupy a disjoint block starting at 16. Values are part of the trace-file
-// format: append only, never renumber.
+// CoCore reports its protocol milestones as records carrying these ids
+// (src/co/observer.h); drivers and transports add their own events in a
+// disjoint block starting at 16. Values are part of the trace-file format:
+// append only, never renumber. Header-only and dependency-free, so the
+// sans-io core may include it (scripts/check_layering.py).
 #pragma once
 
 #include <cstdint>
 #include <string_view>
 
-#include "src/co/trace_categories.h"
-
 namespace co::obs::trace {
 
 enum class EventId : std::uint16_t {
-  // Protocol milestones — numerically identical to proto::cat::CatId.
-  kSend = 0,
-  kAccept = 1,
-  kPark = 2,
-  kDup = 3,
-  kMalformed = 4,
-  kF1 = 5,
-  kF2 = 6,
-  kRet = 7,
-  kRtx = 8,
-  kPack = 9,
-  kAck = 10,
-  kDeliver = 11,
-  kProbe = 12,
+  // Protocol milestones, reported by CoCore.
+  kSend = 0,       // original broadcast; arg = 1 for data, 0 for ack-only
+  kAccept = 1,     // acceptance action (§4.2)
+  kPark = 2,       // out-of-order PDU parked behind a gap
+  kDup = 3,        // duplicate dropped
+  kMalformed = 4,  // shape-invalid PDU/RET dropped; arg = ACK lanes
+  kF1 = 5,         // failure condition (1); (origin, seq) = first missing,
+                   // arg = gap length
+  kF2 = 6,         // failure condition (2); same payload as kF1
+  kRet = 7,        // RET request sent; (origin, seq) = (LSRC, LSEQ)
+  kRtx = 8,        // selective rebroadcast of an own PDU
+  kPack = 9,       // pre-acknowledgment (§4.4)
+  kAck = 10,       // acknowledgment (§4.5)
+  kDeliver = 11,   // handed to the application (precedes its kAck)
+  kProbe = 12,     // tail-loss probe; (origin, seq) = (self, next SEQ)
   // Driver / transport instrumentation.
   kTimerArm = 16,     // arg = TimerId, seq = absolute deadline (ns)
   kTimerCancel = 17,  // arg = TimerId
@@ -40,34 +39,26 @@ enum class EventId : std::uint16_t {
   kViolation = 22,    // oracle/invariant failure; flight recorder trigger
 };
 
-#define CO_TRACE_PIN(name)                                    \
-  static_assert(static_cast<std::uint16_t>(EventId::k##name) == \
-                static_cast<std::uint16_t>(proto::cat::CatId::k##name))
-CO_TRACE_PIN(Send);
-CO_TRACE_PIN(Accept);
-CO_TRACE_PIN(Park);
-CO_TRACE_PIN(Dup);
-CO_TRACE_PIN(Malformed);
-CO_TRACE_PIN(F1);
-CO_TRACE_PIN(F2);
-CO_TRACE_PIN(Ret);
-CO_TRACE_PIN(Rtx);
-CO_TRACE_PIN(Pack);
-CO_TRACE_PIN(Ack);
-CO_TRACE_PIN(Deliver);
-CO_TRACE_PIN(Probe);
-#undef CO_TRACE_PIN
+/// Protocol ids occupy [0, kProtocolEventCount).
+inline constexpr std::uint16_t kProtocolEventCount = 13;
 
-constexpr EventId to_event(proto::cat::CatId id) {
-  return static_cast<EventId>(static_cast<std::uint16_t>(id));
-}
-
-/// Display name: the canonical proto::cat string for protocol events, a
-/// stable label for driver events, "?" for unknown ids (corrupt files).
+/// Stable display name; "?" for unknown ids (a corrupt trace record must
+/// not index out of bounds).
 constexpr std::string_view event_name(EventId e) {
-  if (static_cast<std::uint16_t>(e) < proto::cat::kCatCount)
-    return proto::cat::cat_name(static_cast<proto::cat::CatId>(e));
   switch (e) {
+    case EventId::kSend: return "send";
+    case EventId::kAccept: return "accept";
+    case EventId::kPark: return "park";
+    case EventId::kDup: return "dup";
+    case EventId::kMalformed: return "malformed";
+    case EventId::kF1: return "f1";
+    case EventId::kF2: return "f2";
+    case EventId::kRet: return "ret";
+    case EventId::kRtx: return "rtx";
+    case EventId::kPack: return "pack";
+    case EventId::kAck: return "ack";
+    case EventId::kDeliver: return "deliver";
+    case EventId::kProbe: return "probe";
     case EventId::kTimerArm: return "timer_arm";
     case EventId::kTimerCancel: return "timer_cancel";
     case EventId::kTimerFire: return "timer_fire";
@@ -75,8 +66,8 @@ constexpr std::string_view event_name(EventId e) {
     case EventId::kWireTx: return "wire_tx";
     case EventId::kWireRx: return "wire_rx";
     case EventId::kViolation: return "violation";
-    default: return "?";
   }
+  return "?";
 }
 
 }  // namespace co::obs::trace

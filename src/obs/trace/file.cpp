@@ -29,6 +29,9 @@ std::uint64_t get_u64(const char* p) {
   return v;
 }
 
+/// Records read per step while loading a block (128 KiB).
+constexpr std::uint32_t kReadChunkRecords = 4096;
+
 }  // namespace
 
 void write_trace_header(std::ostream& os) {
@@ -91,17 +94,21 @@ std::optional<std::string> read_trace(std::istream& in, ParsedTrace& out) {
     const std::uint64_t dropped = get_u64(bh + 16);
     auto& worst = out.dropped[stream];
     worst = std::max(worst, dropped);
+    // `count` is untrusted: grow by what the stream actually holds, one
+    // bounded chunk at a time, so a corrupt header cannot demand gigabytes.
     const std::size_t base = out.records.size();
-    out.records.resize(base + count);
-    if (count != 0) {
-      in.read(reinterpret_cast<char*>(out.records.data() + base),
-              static_cast<std::streamsize>(count * kRecordSize));
-      if (in.gcount() !=
-          static_cast<std::streamsize>(count * kRecordSize)) {
+    for (std::uint32_t left = count; left != 0;) {
+      const std::uint32_t chunk = std::min(left, kReadChunkRecords);
+      const std::size_t at = out.records.size();
+      out.records.resize(at + chunk);
+      in.read(reinterpret_cast<char*>(out.records.data() + at),
+              static_cast<std::streamsize>(chunk * kRecordSize));
+      if (in.gcount() != static_cast<std::streamsize>(chunk * kRecordSize)) {
         out.records.resize(base);
         return "block " + std::to_string(block_index) + " truncated mid-record (" +
                std::to_string(count) + " records promised)";
       }
+      left -= chunk;
     }
     ++block_index;
   }

@@ -15,7 +15,7 @@ namespace co::obs::trace {
 namespace {
 
 bool is_protocol(const Record& r) {
-  return r.event < proto::cat::kCatCount;
+  return r.event < kProtocolEventCount;
 }
 
 /// Remote lifecycle milestones a flow arrow should land on.

@@ -5,14 +5,16 @@
 // machine. Fields:
 //
 //   at      driver timestamp in ns (co::time::Tick; sim time for the sim
-//           driver, monotonic-since-node-start for the realtime driver)
+//           driver, monotonic-since-node-start for the realtime driver;
+//           CoCore stamps its records with the step's Input::at)
 //   seq     the subject PDU's sequence number (kSeqNone for events with no
 //           PDU subject, e.g. timer arms)
 //   origin  the subject PDU's source entity (causal context: (origin, seq)
 //           is the cross-entity PduKey the post-processor joins flows on)
 //   actor   the entity on whose track this event happened
-//   event   interned EventId (protocol ids == co::proto::cat::CatId values)
-//   stream  writer stream id (per-thread; assigned by the Tracer)
+//   event   interned EventId (src/obs/trace/events.h)
+//   stream  writer stream id (per-thread; assigned by the Tracer, 0 until
+//           then)
 //   arg     small event-specific payload (gap length, byte count, timer id)
 //
 // The layout is pinned by static_asserts and by the golden-bytes test in

@@ -72,19 +72,25 @@ class Tracer {
   /// entity whose track this event lands on; arg is event-specific.
   void emit(EventId event, time::Tick at, EntityId actor, EntityId origin,
             std::uint64_t seq, std::uint32_t arg = 0) {
-#ifdef CO_TRACE_DISABLED
-    (void)event, (void)at, (void)actor, (void)origin, (void)seq, (void)arg;
-#else
-    if (!enabled()) return;
-    Stream& s = local_stream();
     Record r;
     r.at = at;
     r.seq = seq;
     r.origin = origin;
     r.actor = actor;
     r.event = static_cast<std::uint16_t>(event);
-    r.stream = s.id;
     r.arg = arg;
+    emit(r);
+  }
+
+  /// Append a record built elsewhere (a CoCore milestone); the tracer
+  /// stamps its own stream id over `r.stream`.
+  void emit(Record r) {
+#ifdef CO_TRACE_DISABLED
+    (void)r;
+#else
+    if (!enabled()) return;
+    Stream& s = local_stream();
+    r.stream = s.id;
     s.ring.append(r);
     if (sink_ != nullptr && !config_.overwrite_oldest &&
         s.ring.size() >= watermark_)

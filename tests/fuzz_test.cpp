@@ -144,8 +144,11 @@ TEST(FuzzCounterexample, SaveLoadRoundTrip) {
   const std::string path = ::testing::TempDir() + "/co_fuzz_ce_test.json";
   out.counterexample->save(path);
   const Counterexample loaded = Counterexample::load(path);
+  EXPECT_EQ(loaded.to_json().at("format").as_string(),
+            "co_fuzz/counterexample/v2");
   EXPECT_EQ(loaded.to_json().dump(2), out.counterexample->to_json().dump(2));
   EXPECT_EQ(loaded.digest, out.counterexample->digest);
+  EXPECT_GT(loaded.trace_events, 0u);
   EXPECT_EQ(loaded.effect_digest, out.counterexample->effect_digest);
   EXPECT_GT(loaded.effects_emitted, 0u);
   EXPECT_FALSE(loaded.effect_sample.empty());
@@ -179,9 +182,44 @@ TEST(FuzzCounterexample, ArtifactWithoutEffectDigestStillReplaysExactly) {
   EXPECT_TRUE(v.exact);
 }
 
+// v1 artifacts digested the retired text trace. They still load and
+// replay: the text-era digest is marked absent, and the verdict plus the
+// effect digest decide. A v2 artifact's record digest is still checked.
+TEST(FuzzCounterexample, V1ArtifactReplaysOnVerdictAndEffectDigest) {
+  RunOptions o;
+  o.mutation = proto::Mutation::kDeliverOnAccept;
+  FuzzOptions fo;
+  fo.seeds = 100;
+  fo.run = o;
+  const FuzzOutcome out = fuzz(fo);
+  ASSERT_TRUE(out.counterexample.has_value());
+
+  Json::Object doc = out.counterexample->to_json().as_object();
+  doc["format"] = Json("co_fuzz/counterexample/v1");
+  doc["digest"] = Json(std::uint64_t{0x0123456789abcdefULL});  // text era
+  const Counterexample v1 = Counterexample::from_json(Json(doc));
+  EXPECT_EQ(v1.trace_events, 0u);
+  EXPECT_EQ(v1.effect_digest, out.counterexample->effect_digest);
+  const ReplayVerdict v = replay(v1);
+  EXPECT_TRUE(v.reproduced);
+  EXPECT_TRUE(v.exact);
+
+  // The same foreign digest in a v2 artifact is a mismatch, not a skip.
+  doc["format"] = Json("co_fuzz/counterexample/v2");
+  const Counterexample tampered = Counterexample::from_json(Json(doc));
+  EXPECT_GT(tampered.trace_events, 0u);
+  const ReplayVerdict t = replay(tampered);
+  EXPECT_TRUE(t.reproduced);
+  EXPECT_FALSE(t.exact);
+}
+
 TEST(FuzzCounterexample, RejectsUnknownFormat) {
   EXPECT_THROW(Counterexample::from_json(Json::parse("{\"format\":\"bogus\"}")),
                std::runtime_error);
+  EXPECT_THROW(Counterexample::from_json(
+                   Json::parse("{\"format\":\"co_fuzz/counterexample/v3\"}")),
+               std::runtime_error);
+  EXPECT_THROW(Counterexample::from_json(Json::parse("{}")), std::runtime_error);
 }
 
 TEST(FuzzJson, ParsesAndDumpsStably) {

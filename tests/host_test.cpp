@@ -26,33 +26,41 @@ namespace {
 using namespace std::chrono_literals;
 using causality::PduKey;
 
-/// One Host, every entity local, per-entity oracle taps feeding a shared
-/// TraceRecorder (the CoObserver callbacks carry no receiver identity, so
-/// the oracle needs one tap per entity).
+/// One Host, every entity local, and one shared observer feeding the
+/// TraceRecorder oracle: each record names its entity (Record::actor), so a
+/// single observer serves every shard.
 class HostHarness {
  public:
   class OracleObserver final : public proto::CoObserver {
    public:
-    OracleObserver(HostHarness& owner, EntityId id) : owner_(owner), id_(id) {}
-    void on_send(const PduKey& k, bool is_data) override {
+    explicit OracleObserver(HostHarness& owner) : owner_(owner) {}
+    void on_event(const proto::Record& r) override {
+      const auto event = static_cast<proto::EventId>(r.event);
+      if (event != proto::EventId::kSend && event != proto::EventId::kAccept)
+        return;
+      const PduKey k{r.origin, r.seq};
       const std::lock_guard<std::mutex> lock(owner_.mutex_);
-      owner_.trace_.on_send(id_, k);
-      if (is_data)
-        owner_.data_keys_[static_cast<std::size_t>(id_)].push_back(k);
-    }
-    void on_accept(const PduKey& k) override {
-      const std::lock_guard<std::mutex> lock(owner_.mutex_);
-      owner_.trace_.on_accept(id_, k);
+      if (event == proto::EventId::kAccept) {
+        owner_.trace_.on_accept(r.actor, k);
+        return;
+      }
+      owner_.trace_.on_send(r.actor, k);
+      if (r.arg == 1)
+        owner_.data_keys_[static_cast<std::size_t>(r.actor)].push_back(k);
     }
 
    private:
     HostHarness& owner_;
-    EntityId id_;
   };
 
   HostHarness(std::size_t n, std::size_t shards, double send_loss,
               obs::trace::Tracer* tracer, std::size_t recv_slot_bytes = 2048)
-      : n_(n), trace_(n), logs_(n), data_keys_(n), submissions_(n, 0) {
+      : n_(n),
+        trace_(n),
+        logs_(n),
+        data_keys_(n),
+        submissions_(n, 0),
+        oracle_(*this) {
     proto::CoConfig cfg;
     cfg.cid = 42;
     cfg.defer_timeout = 2 * time::kMillisecond;
@@ -64,18 +72,15 @@ class HostHarness {
         .shards(shards)
         .send_loss(send_loss, /*seed=*/1000)
         .tracer(tracer)
+        .observer(&oracle_)
         .recv_batch(32, recv_slot_bytes)
         .deliver([this](EntityId at, EntityId,
                         const std::vector<std::uint8_t>& data) {
           const std::lock_guard<std::mutex> lock(mutex_);
           logs_[static_cast<std::size_t>(at)].push_back(data);
         });
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto id = static_cast<EntityId>(i);
-      observers_.push_back(std::make_unique<OracleObserver>(*this, id));
-      builder.entity(id, transport::UdpEndpoint::loopback(0),
-                     observers_.back().get());
-    }
+    for (std::size_t i = 0; i < n; ++i)
+      builder.entity(static_cast<EntityId>(i));
     host_ = builder.build();
   }
 
@@ -135,7 +140,7 @@ class HostHarness {
   std::vector<std::vector<std::vector<std::uint8_t>>> logs_;
   std::vector<std::vector<PduKey>> data_keys_;
   std::vector<std::uint64_t> submissions_;
-  std::vector<std::unique_ptr<OracleObserver>> observers_;
+  OracleObserver oracle_;
   std::unique_ptr<Host> host_;
 };
 

@@ -9,6 +9,7 @@
 
 #include "src/driver/cluster.h"
 #include "src/fuzz/counterexample.h"
+#include "src/fuzz/effect_log.h"
 #include "src/fuzz/json.h"
 #include "src/fuzz/obs_json.h"
 #include "src/fuzz/runner.h"
@@ -18,7 +19,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/observe.h"
 #include "src/obs/spans.h"
-#include "src/sim/trace.h"
 
 namespace co {
 namespace {
@@ -246,12 +246,12 @@ struct RunFingerprint {
 // protocol state, so the registry must not be read after the cluster dies.
 RunFingerprint run_workload(obs::Observability* bundle,
                             MetricsSnapshot* snap_out = nullptr) {
-  sim::DigestTrace digest;
+  fuzz::RecordDigest digest;
   proto::ClusterOptions o;
   o.proto.n = 4;
   o.net.delay = net::DelayModel::fixed(100 * sim::kMicrosecond);
   o.net.buffer_capacity = 4096;
-  o.trace_sink = &digest;
+  o.observer = &digest;
   o.obs = bundle;
   proto::CoCluster c(o);
   c.network().force_drop(0, 2, 1);  // exercise park/retransmit paths too

@@ -1,6 +1,6 @@
-// Binary event tracing: record layout, ring policies, .cotrace format
-// round-trip + strict rejection, the Tracer hot path (single- and
-// multi-threaded), the observer bridge, and the fatal-signal flight dump.
+// Binary event tracing: record layout, the event vocabulary, ring
+// policies, .cotrace format round-trip + strict rejection, the Tracer hot
+// path (single- and multi-threaded), and the fatal-signal flight dump.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -12,8 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/obs/stage.h"
-#include "src/obs/trace/bridge.h"
 #include "src/obs/trace/crash.h"
 #include "src/obs/trace/events.h"
 #include "src/obs/trace/file.h"
@@ -59,12 +57,43 @@ TEST(TraceRecord, LayoutIsPinnedTo32Bytes) {
   EXPECT_EQ(offsetof(Record, arg), 28u);
 }
 
-TEST(TraceEvents, ProtocolIdsMirrorCatIds) {
-  for (std::size_t i = 0; i < proto::cat::kCatCount; ++i) {
-    const auto cat = static_cast<proto::cat::CatId>(i);
-    EXPECT_EQ(static_cast<std::uint16_t>(to_event(cat)), i);
-    EXPECT_EQ(event_name(to_event(cat)), proto::cat::cat_name(cat));
+// EventId numbers are the .cotrace format and the names are what every
+// human view prints: pin both, for every id.
+TEST(TraceEvents, EveryIdAndNameIsPinned) {
+  const struct {
+    EventId id;
+    std::uint16_t value;
+    const char* name;
+  } pins[] = {
+      {EventId::kSend, 0, "send"},
+      {EventId::kAccept, 1, "accept"},
+      {EventId::kPark, 2, "park"},
+      {EventId::kDup, 3, "dup"},
+      {EventId::kMalformed, 4, "malformed"},
+      {EventId::kF1, 5, "f1"},
+      {EventId::kF2, 6, "f2"},
+      {EventId::kRet, 7, "ret"},
+      {EventId::kRtx, 8, "rtx"},
+      {EventId::kPack, 9, "pack"},
+      {EventId::kAck, 10, "ack"},
+      {EventId::kDeliver, 11, "deliver"},
+      {EventId::kProbe, 12, "probe"},
+      {EventId::kTimerArm, 16, "timer_arm"},
+      {EventId::kTimerCancel, 17, "timer_cancel"},
+      {EventId::kTimerFire, 18, "timer_fire"},
+      {EventId::kSubmit, 19, "submit"},
+      {EventId::kWireTx, 20, "wire_tx"},
+      {EventId::kWireRx, 21, "wire_rx"},
+      {EventId::kViolation, 22, "violation"},
+  };
+  for (const auto& pin : pins) {
+    EXPECT_EQ(static_cast<std::uint16_t>(pin.id), pin.value) << pin.name;
+    EXPECT_EQ(event_name(pin.id), pin.name);
   }
+  EXPECT_EQ(kProtocolEventCount, 13u);
+  // The gap between the protocol and driver blocks is unnamed.
+  for (std::uint16_t v = kProtocolEventCount; v < 16; ++v)
+    EXPECT_EQ(event_name(static_cast<EventId>(v)), "?");
 }
 
 TEST(TraceEvents, DriverEventNames) {
@@ -76,16 +105,6 @@ TEST(TraceEvents, DriverEventNames) {
   EXPECT_EQ(event_name(EventId::kWireRx), "wire_rx");
   EXPECT_EQ(event_name(EventId::kViolation), "violation");
   EXPECT_EQ(event_name(static_cast<EventId>(4711)), "?");
-}
-
-// Satellite pin: stage_name() must return the exact canonical category
-// strings (compile-time static_asserts in stage.h pin this too).
-TEST(TraceEvents, StageNamesAreTheCanonicalCategoryStrings) {
-  EXPECT_EQ(stage_name(PduStage::kPark), proto::cat::kPark);
-  EXPECT_EQ(stage_name(PduStage::kAccept), proto::cat::kAccept);
-  EXPECT_EQ(stage_name(PduStage::kPack), proto::cat::kPack);
-  EXPECT_EQ(stage_name(PduStage::kDeliver), proto::cat::kDeliver);
-  EXPECT_EQ(stage_name(PduStage::kAck), proto::cat::kAck);
 }
 
 // ---------------------------------------------------------------------------
@@ -224,6 +243,26 @@ TEST(TraceFile, RejectsCorruptBlockMagic) {
   EXPECT_NE(err->find("block"), std::string::npos);
 }
 
+// A block header's record count is untrusted input: a 56-byte file that
+// promises 0xFFFFFFFF records must come back as a truncation error, not an
+// attempt to allocate 128 GiB up front.
+TEST(TraceFile, HugeBlockCountIsTruncationNotAllocation) {
+  std::ostringstream os(std::ios::binary);
+  write_trace_header(os);
+  write_trace_block(os, 0, nullptr, 0, 0);
+  std::string bytes = os.str();
+  ASSERT_EQ(bytes.size(), kFileHeaderSize + kBlockHeaderSize);
+  const std::uint32_t huge = 0xFFFFFFFFu;
+  std::memcpy(&bytes[kFileHeaderSize + 8], &huge, sizeof huge);
+  std::istringstream in(bytes, std::ios::binary);
+  ParsedTrace parsed;
+  std::optional<std::string> err;
+  ASSERT_NO_THROW(err = read_trace(in, parsed));
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("truncated mid-record"), std::string::npos) << *err;
+  EXPECT_TRUE(parsed.records.empty());
+}
+
 TEST(TraceFile, WriteRecordsFileRoundTrips) {
   const std::string path =
       testing::TempDir() + "co_obs_trace_records_file.cotrace";
@@ -357,36 +396,6 @@ TEST(Tracer, MultiThreadWritersGetIndependentStreams) {
     ASSERT_LT(actor, kThreads);
     EXPECT_EQ(r.seq, next[actor]++);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Observer bridge.
-
-TEST(TracingObserver, BridgesObserverCallbacksWithStampedTime) {
-  TracerConfig config;
-  config.ring_capacity = 16;
-  Tracer tracer(config);
-  TracingObserver bridge(tracer, /*self=*/2);
-
-  bridge.set_now(1000);
-  bridge.on_send(causality::PduKey{2, 7}, /*is_data=*/true);
-  bridge.set_now(2000);
-  bridge.on_stage(PduStage::kAccept, causality::PduKey{1, 5});
-  bridge.set_now(3000);
-  bridge.on_event(proto::cat::CatId::kDup, causality::PduKey{1, 5}, 9);
-
-  const auto snap = tracer.snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap[0].at, 1000);
-  EXPECT_EQ(static_cast<EventId>(snap[0].event), EventId::kSend);
-  EXPECT_EQ(snap[0].actor, 2);
-  EXPECT_EQ(snap[0].origin, 2);
-  EXPECT_EQ(snap[0].seq, 7u);
-  EXPECT_EQ(snap[0].arg, 1u);  // is_data
-  EXPECT_EQ(static_cast<EventId>(snap[1].event), EventId::kAccept);
-  EXPECT_EQ(snap[1].origin, 1);
-  EXPECT_EQ(static_cast<EventId>(snap[2].event), EventId::kDup);
-  EXPECT_EQ(snap[2].arg, 9u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,76 +1,110 @@
-// Unit tests: the unified CoObserver interface (null object, multicast
-// combiner, cluster/user tap plumbing), the ClusterBuilder fluent API, and
-// the DstMask width regression for clusters larger than 64 entities.
+// Unit tests: the single record-carrying CoObserver (null object, the
+// cluster's record stream against its Tracer, user tap plumbing), the
+// ClusterBuilder fluent API, and the DstMask width regression for clusters
+// larger than 64 entities.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "src/driver/cluster.h"
 #include "src/co/observer.h"
+#include "src/obs/trace/tracer.h"
 
 namespace co::proto {
 namespace {
 
 using sim::literals::operator""_us;
 
-struct EventLog final : CoObserver {
-  std::vector<std::string> events;
-  bool want_text = false;
+struct RecordLog final : CoObserver {
+  std::vector<Record> records;
+  void on_event(const Record& r) override { records.push_back(r); }
 
-  void on_send(const PduKey& k, bool is_data) override {
-    events.push_back("send " + std::to_string(k.src) + "#" +
-                     std::to_string(k.seq) + (is_data ? " data" : " ctrl"));
+  std::size_t count(EventId e) const {
+    std::size_t c = 0;
+    for (const Record& r : records) c += static_cast<EventId>(r.event) == e;
+    return c;
   }
-  void on_accept(const PduKey& k) override {
-    events.push_back("accept " + std::to_string(k.src) + "#" +
-                     std::to_string(k.seq));
-  }
-  void on_stage(obs::PduStage stage, const PduKey& k) override {
-    events.push_back("stage " + std::to_string(static_cast<int>(stage)) +
-                     " " + std::to_string(k.src) + "#" +
-                     std::to_string(k.seq));
-  }
-  void on_trace(std::string_view category, std::string_view) override {
-    events.push_back("trace " + std::string(category));
-  }
-  bool wants_trace_text() const override { return want_text; }
 };
 
 TEST(Observer, NullObserverAcceptsEverythingQuietly) {
   CoObserver& o = null_observer();
-  o.on_send({0, 1}, true);
-  o.on_accept({0, 1});
-  o.on_stage(obs::PduStage::kAccept, {0, 1});
-  o.on_trace("send", "text");
-  EXPECT_FALSE(o.wants_trace_text());
+  Record r;
+  r.event = static_cast<std::uint16_t>(EventId::kSend);
+  o.on_event(r);
   EXPECT_EQ(&null_observer(), &null_observer());  // one shared instance
 }
 
-TEST(Observer, MulticastFansOutInInsertionOrder) {
-  EventLog first, second;
-  MulticastObserver multi;
-  multi.add(&first);
-  multi.add(nullptr);  // optional taps may be absent
-  multi.add(&second);
-  EXPECT_EQ(multi.size(), 2u);
+// The one stream: every record a user observer sees is exactly what the
+// cluster's Tracer stores (bar the Tracer-assigned stream id), in order,
+// stamped with non-decreasing scheduler time, and the run's loss and
+// recovery shows up in it as the full protocol lifecycle.
+TEST(ProtocolTrace, ClusterEmitsLifecycleEvents) {
+  obs::trace::TracerConfig tc;
+  tc.ring_capacity = std::size_t{1} << 16;
+  obs::trace::Tracer tracer(tc);
+  RecordLog log;
+  const auto c = ClusterBuilder(6)
+                     .net([] {
+                       net::McConfig n;
+                       n.delay = net::DelayModel::fixed(100_us);
+                       n.buffer_capacity = 1024;
+                       return n;
+                     }())
+                     .tracer(&tracer)
+                     .observer(&log)
+                     .build();
+  c->network().force_drop(0, 2, 1);
+  c->submit_text(0, "a");
+  c->submit_text(0, "b");
+  c->submit_text(3, "c");
+  ASSERT_TRUE(c->run_until_delivered(60'000 * sim::kMillisecond));
 
-  multi.on_send({2, 5}, true);
-  multi.on_accept({2, 5});
-  ASSERT_EQ(first.events.size(), 2u);
-  EXPECT_EQ(first.events, second.events);
-  EXPECT_EQ(first.events[0], "send 2#5 data");
-  EXPECT_EQ(first.events[1], "accept 2#5");
+  ASSERT_EQ(tracer.dropped(), 0u) << "ring too small for the run";
+  const std::vector<Record> traced = tracer.snapshot();
+  ASSERT_EQ(log.records.size(), traced.size());
+  std::set<EntityId> actors;
+  for (std::size_t i = 0; i < traced.size(); ++i) {
+    const Record& a = log.records[i];
+    const Record& b = traced[i];
+    EXPECT_EQ(a.at, b.at) << i;
+    EXPECT_EQ(a.seq, b.seq) << i;
+    EXPECT_EQ(a.origin, b.origin) << i;
+    EXPECT_EQ(a.actor, b.actor) << i;
+    EXPECT_EQ(a.event, b.event) << i;
+    EXPECT_EQ(a.arg, b.arg) << i;
+    EXPECT_EQ(a.stream, 0u) << "the core leaves stream to the Tracer";
+    if (i > 0) {
+      EXPECT_LE(log.records[i - 1].at, a.at) << i;
+    }
+    actors.insert(a.actor);
+  }
+  EXPECT_EQ(actors.size(), 6u);
+
+  // The full lifecycle appears: send, accept, loss detection, RET,
+  // retransmission, pre-ack, ack, delivery.
+  for (const EventId e : {EventId::kSend, EventId::kAccept, EventId::kPack,
+                          EventId::kAck, EventId::kDeliver, EventId::kRet,
+                          EventId::kRtx})
+    EXPECT_GT(log.count(e), 0u) << "missing " << obs::trace::event_name(e);
+  // Loss was detected via F(1) (gap on next PDU) or F(2) (via confirmation).
+  EXPECT_GT(log.count(EventId::kF1) + log.count(EventId::kF2), 0u);
+  // Every data PDU is delivered once per entity, each delivery recorded.
+  EXPECT_EQ(log.count(EventId::kDeliver), 3u * 6u);
 }
 
-TEST(Observer, MulticastWantsTextIffAnyChildDoes) {
-  EventLog quiet, chatty;
-  chatty.want_text = true;
-  MulticastObserver multi;
-  multi.add(&quiet);
-  EXPECT_FALSE(multi.wants_trace_text());
-  multi.add(&chatty);
-  EXPECT_TRUE(multi.wants_trace_text());
+TEST(ProtocolTrace, NoSinkMeansNoEvents) {
+  // Nothing attached: the cluster's own bookkeeping still runs the show
+  // (delivery, oracle) and nothing else is required to observe it.
+  ClusterOptions o;
+  o.proto.n = 2;
+  o.net.delay = net::DelayModel::fixed(100_us);
+  o.net.buffer_capacity = 1024;
+  CoCluster c(o);
+  c.submit_text(0, "x");
+  EXPECT_TRUE(c.run_until_delivered(10'000 * sim::kMillisecond));
+  EXPECT_EQ(c.check_co_service(), std::nullopt);
 }
 
 ClusterOptions small_options() {
@@ -137,23 +171,35 @@ TEST(ClusterBuilder, EquivalentToDirectConstruction) {
 }
 
 TEST(ClusterBuilder, UserObserverSeesEveryMilestoneAfterBookkeeping) {
-  EventLog log;
+  struct Tap final : CoObserver {
+    CoCluster* cluster = nullptr;
+    std::size_t sends = 0, accepts = 0, acks = 0;
+    bool bookkeeping_first = true;
+    void on_event(const Record& r) override {
+      const auto e = static_cast<EventId>(r.event);
+      if (e == EventId::kSend && r.arg == 1) {
+        ++sends;
+        // The cluster already counted this data PDU as sent.
+        const auto& sent = cluster->data_sent();
+        bookkeeping_first &= !sent.empty() &&
+                             sent.back() == PduKey{r.origin, r.seq};
+      }
+      accepts += e == EventId::kAccept;
+      acks += e == EventId::kAck;
+    }
+  } tap;
   const auto c = ClusterBuilder(3)
                      .config(small_options().proto)
                      .net(small_options().net)
-                     .observer(&log)
+                     .observer(&tap)
                      .build();
+  tap.cluster = c.get();
   c->submit_text(0, "observed");
   ASSERT_TRUE(c->run_until_delivered(1'000 * sim::kMillisecond));
-  std::size_t sends = 0, accepts = 0, stages = 0;
-  for (const auto& e : log.events) {
-    sends += e.rfind("send", 0) == 0;
-    accepts += e.rfind("accept", 0) == 0;
-    stages += e.rfind("stage", 0) == 0;
-  }
-  EXPECT_GE(sends, 1u);       // the data PDU, at least
-  EXPECT_GE(accepts, 3u);     // accepted at every entity
-  EXPECT_GE(stages, 3u);      // lifecycle milestones flow to the tap
+  EXPECT_EQ(tap.sends, 1u);   // the data PDU
+  EXPECT_GE(tap.accepts, 3u); // accepted at every entity
+  EXPECT_GE(tap.acks, 3u);    // lifecycle milestones flow to the tap
+  EXPECT_TRUE(tap.bookkeeping_first);
   // The cluster's own bookkeeping ran too (delivery logs are its job).
   EXPECT_EQ(c->deliveries(1).size(), 1u);
 }

@@ -87,11 +87,12 @@ class StepHarness final : public driver::RealtimeEnv {
 
   struct Recorder final : CoObserver {
     StepHarness* owner = nullptr;
-    void on_send(const PduKey& k, bool) override {
-      owner->traced_sends.push_back(k);
-    }
-    void on_accept(const PduKey& k) override {
-      owner->traced_accepts.push_back(k);
+    void on_event(const Record& r) override {
+      const PduKey k{r.origin, r.seq};
+      if (static_cast<EventId>(r.event) == EventId::kSend)
+        owner->traced_sends.push_back(k);
+      else if (static_cast<EventId>(r.event) == EventId::kAccept)
+        owner->traced_accepts.push_back(k);
     }
   };
 

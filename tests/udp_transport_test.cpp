@@ -24,29 +24,37 @@ using causality::PduKey;
 
 class UdpCluster {
  public:
-  /// Feeds the shared oracle from one node's protocol milestones (the old
-  /// trace_send/trace_accept config taps, now a NodeConfig::observer).
+  /// Feeds the shared oracle from every node's protocol records (one
+  /// observer for all nodes: Record::actor names the reporting node).
   class OracleObserver final : public proto::CoObserver {
    public:
-    OracleObserver(UdpCluster& owner, EntityId id) : owner_(owner), id_(id) {}
-    void on_send(const PduKey& k, bool is_data) override {
+    explicit OracleObserver(UdpCluster& owner) : owner_(owner) {}
+    void on_event(const proto::Record& r) override {
+      const auto event = static_cast<proto::EventId>(r.event);
+      if (event != proto::EventId::kSend && event != proto::EventId::kAccept)
+        return;
+      const PduKey k{r.origin, r.seq};
       const std::lock_guard<std::mutex> lock(owner_.mutex_);
-      owner_.trace_.on_send(id_, k);
-      if (is_data)
-        owner_.data_keys_[static_cast<std::size_t>(id_)].push_back(k);
-    }
-    void on_accept(const PduKey& k) override {
-      const std::lock_guard<std::mutex> lock(owner_.mutex_);
-      owner_.trace_.on_accept(id_, k);
+      if (event == proto::EventId::kAccept) {
+        owner_.trace_.on_accept(r.actor, k);
+        return;
+      }
+      owner_.trace_.on_send(r.actor, k);
+      if (r.arg == 1)
+        owner_.data_keys_[static_cast<std::size_t>(r.actor)].push_back(k);
     }
 
    private:
     UdpCluster& owner_;
-    EntityId id_;
   };
 
   explicit UdpCluster(std::size_t n, double send_loss = 0.0)
-      : n_(n), trace_(n), logs_(n), data_keys_(n), submissions_(n, 0) {
+      : n_(n),
+        trace_(n),
+        logs_(n),
+        data_keys_(n),
+        submissions_(n, 0),
+        oracle_(*this) {
     proto::CoConfig pcfg;
     pcfg.cid = 42;
     pcfg.defer_timeout = 2 * time::kMillisecond;
@@ -54,12 +62,11 @@ class UdpCluster {
     pcfg.assumed_peer_buffer = 1u << 16;
     for (std::size_t i = 0; i < n; ++i) {
       const auto id = static_cast<EntityId>(i);
-      observers_.push_back(std::make_unique<OracleObserver>(*this, id));
       nodes_.push_back(
           NodeBuilder(id, n)
               .proto(pcfg)
               .send_loss(send_loss, 1000 + i)
-              .observer(observers_.back().get())
+              .observer(&oracle_)
               .deliver([this, id](EntityId,
                                   const std::vector<std::uint8_t>& d) {
                 const std::lock_guard<std::mutex> lock(mutex_);
@@ -161,7 +168,7 @@ class UdpCluster {
   std::vector<std::vector<std::vector<std::uint8_t>>> logs_;
   std::vector<std::vector<PduKey>> data_keys_;
   std::vector<std::uint64_t> submissions_;
-  std::vector<std::unique_ptr<OracleObserver>> observers_;
+  OracleObserver oracle_;
   std::vector<std::unique_ptr<CoNode>> nodes_;
   std::vector<std::thread> threads_;
 };
@@ -319,7 +326,11 @@ TEST(UdpTransport, QueuedSubmitsLeaveAsOneDatagram) {
 
   class AcceptCounter final : public proto::CoObserver {
    public:
-    void on_accept(const PduKey& k) override { from_zero += k.src == 0; }
+    void on_event(const proto::Record& r) override {
+      from_zero += static_cast<proto::EventId>(r.event) ==
+                       proto::EventId::kAccept &&
+                   r.origin == 0;
+    }
     int from_zero = 0;
   } accepted;
 
