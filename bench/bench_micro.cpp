@@ -375,11 +375,16 @@ fuzz::Json::Object kernel_metrics(std::size_t n) {
 
 // --- shared n=32 cluster workload ------------------------------------------
 
-net::McConfig bench_net() {
-  net::McConfig net;
-  net.delay = net::DelayModel::fixed(100 * sim::kMicrosecond);
-  net.buffer_capacity = 1u << 16;
-  return net;
+/// W = 8 over 100 us links, without the oracle (it costs O(n) per event).
+ClusterOptions bench_options(std::size_t n, obs::trace::Tracer* tracer) {
+  ClusterOptions o;
+  o.proto.n = n;
+  o.proto.window = 8;
+  o.net.delay = net::DelayModel::fixed(100 * sim::kMicrosecond);
+  o.net.buffer_capacity = 1u << 16;
+  o.record_trace = false;
+  o.tracer = tracer;
+  return o;
 }
 
 void pump_rounds(CoCluster& c, std::size_t n, int rounds) {
@@ -422,13 +427,7 @@ fuzz::Json::Object trace_overhead_metrics() {
   const auto tco_us = [&](obs::trace::Tracer* tracer) {
     double best = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
-      auto cluster = ClusterBuilder(kN)
-                         .window(8)
-                         .net(bench_net())
-                         .record_trace(false)
-                         .tracer(tracer)
-                         .build();
-      CoCluster& c = *cluster;
+      CoCluster c(bench_options(kN, tracer));
       pump_rounds(c, kN, kWarmupRounds);
       const auto warm = cluster_processing(c, kN);
       pump_rounds(c, kN, kSteadyRounds);
@@ -471,12 +470,7 @@ int run_hot_path_json(const std::string& path) {
   constexpr int kWarmupRounds = 10;
   constexpr int kSteadyRounds = 40;
 
-  auto cluster = ClusterBuilder(kN)
-                     .window(8)
-                     .net(bench_net())
-                     .record_trace(false)  // oracle costs O(n) per event
-                     .build();
-  CoCluster& c = *cluster;
+  CoCluster c(bench_options(kN, /*tracer=*/nullptr));
 
   const auto pool_allocations = [&c] {
     std::uint64_t total = 0;

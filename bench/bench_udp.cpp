@@ -1,8 +1,8 @@
 // Real-transport measurement: the CO protocol over actual loopback UDP
-// sockets (transport::CoNode) — the closest this repo gets to the paper's
-// workstation testbed. Reports wall-clock application-to-application
-// latency (submit -> delivery at every other node) and goodput, loss-free
-// and with 10% injected send loss.
+// sockets (one host::Host, one shard thread per entity) — the closest this
+// repo gets to the paper's workstation testbed. Reports wall-clock
+// application-to-application latency (submit -> delivery at every entity)
+// and goodput, loss-free and with 10% injected send loss.
 //
 // Unlike the simulator benches, these numbers include every real cost:
 // serialization, syscalls, kernel scheduling, timer jitter.
@@ -14,12 +14,11 @@
 
 #include "src/common/stats.h"
 #include "src/common/table.h"
-#include "src/transport/node.h"
+#include "src/host/host.h"
 
 namespace {
 
 using namespace co;
-using namespace co::transport;
 using namespace std::chrono_literals;
 
 struct RunResult {
@@ -39,42 +38,32 @@ RunResult run(std::size_t n, int messages_per_node, double loss) {
   std::vector<std::uint64_t> delivered(n, 0);
 
   // Payload carries the send timestamp (steady_clock ns).
-  std::vector<std::unique_ptr<CoNode>> nodes;
   const auto t0 = std::chrono::steady_clock::now();
   proto::CoConfig pcfg;
   pcfg.defer_timeout = 2 * time::kMillisecond;
   pcfg.retransmit_timeout = 10 * time::kMillisecond;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto id = static_cast<EntityId>(i);
-    nodes.push_back(
-        NodeBuilder(id, n)
-            .proto(pcfg)
-            .send_loss(loss, 17 + i)
-            .deliver([&, id](EntityId,
-                             const std::vector<std::uint8_t>& data) {
-              const auto now = std::chrono::steady_clock::now();
-              std::uint64_t sent_ns = 0;
-              std::memcpy(&sent_ns, data.data(), sizeof sent_ns);
-              const double ms =
-                  (std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       now - t0)
-                       .count() -
-                   static_cast<double>(sent_ns)) /
-                  1e6;
-              const std::lock_guard<std::mutex> lock(mutex);
-              latency_ms.add(ms);
-              sampler.add(ms);
-              ++delivered[static_cast<std::size_t>(id)];
-            })
-            .build());
-  }
-  std::vector<UdpEndpoint> table;
-  for (const auto& node : nodes) table.push_back(node->local_endpoint());
-  for (auto& node : nodes) node->set_peers(table);
-
-  std::vector<std::thread> threads;
-  for (auto& node : nodes)
-    threads.emplace_back([&node] { node->run_for(60'000ms); });
+  host::HostBuilder builder(n);
+  builder.proto(pcfg)
+      .shards(n)  // one thread per entity
+      .send_loss(loss, 17)
+      .deliver([&](EntityId at, EntityId,
+                   const std::vector<std::uint8_t>& data) {
+        const auto now = std::chrono::steady_clock::now();
+        std::uint64_t sent_ns = 0;
+        std::memcpy(&sent_ns, data.data(), sizeof sent_ns);
+        const double ms =
+            (std::chrono::duration_cast<std::chrono::nanoseconds>(now - t0)
+                 .count() -
+             static_cast<double>(sent_ns)) /
+            1e6;
+        const std::lock_guard<std::mutex> lock(mutex);
+        latency_ms.add(ms);
+        sampler.add(ms);
+        ++delivered[static_cast<std::size_t>(at)];
+      });
+  for (std::size_t i = 0; i < n; ++i) builder.entity(static_cast<EntityId>(i));
+  auto host = builder.build();
+  host->start();
 
   for (int m = 0; m < messages_per_node; ++m) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -84,7 +73,7 @@ RunResult run(std::size_t n, int messages_per_node, double loss) {
               .count();
       std::vector<std::uint8_t> payload(sizeof now_ns + 24, 0x5a);
       std::memcpy(payload.data(), &now_ns, sizeof now_ns);
-      nodes[i]->submit(std::move(payload));
+      host->submit(static_cast<EntityId>(i), std::move(payload));
     }
     std::this_thread::sleep_for(1ms);  // ~n msgs/ms offered load
   }
@@ -102,8 +91,7 @@ RunResult run(std::size_t n, int messages_per_node, double loss) {
     if (completed) break;
     std::this_thread::sleep_for(2ms);
   }
-  for (auto& node : nodes) node->stop();
-  for (auto& t : threads) t.join();
+  host->stop();
 
   RunResult r;
   r.completed = completed;
@@ -112,11 +100,12 @@ RunResult run(std::size_t n, int messages_per_node, double loss) {
   r.wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
-  for (const auto& node : nodes) {
-    r.datagrams += node->stats().datagrams_sent;
-    r.dropped += node->stats().datagrams_dropped_injected;
-    r.retransmitted += node->protocol_stats().retransmissions_sent;
-  }
+  const host::WireStats wire = host->total_wire_stats();
+  r.datagrams = wire.datagrams_sent;
+  r.dropped = wire.datagrams_dropped_injected;
+  for (std::size_t i = 0; i < n; ++i)
+    r.retransmitted +=
+        host->protocol_stats(static_cast<EntityId>(i)).retransmissions_sent;
   return r;
 }
 

@@ -17,12 +17,12 @@ int main() {
   using namespace co::proto;
 
   // A cluster C = <E0, E1, E2> on a 100 us multi-channel network.
-  // (ClusterBuilder is sugar over ClusterOptions; either works.)
-  net::McConfig network;
-  network.delay = net::DelayModel::fixed(100 * sim::kMicrosecond);
-  network.buffer_capacity = 1024;
-  const auto built = ClusterBuilder(3).window(8).net(network).build();
-  CoCluster& cluster = *built;
+  ClusterOptions options;
+  options.proto.n = 3;
+  options.proto.window = 8;
+  options.net.delay = net::DelayModel::fixed(100 * sim::kMicrosecond);
+  options.net.buffer_capacity = 1024;
+  CoCluster cluster(options);
 
   // E0 asks a question; once it is delivered everywhere, E1 answers.
   // The answer is causally AFTER the question, so the CO protocol delivers

@@ -31,20 +31,24 @@ int main() {
   // lands in exactly one stream.
   obs::trace::Tracer tracer;
 
-  auto cluster = proto::ClusterBuilder(6).window(8).tracer(&tracer).build();
+  proto::ClusterOptions options;
+  options.proto.n = 6;
+  options.proto.window = 8;
+  options.tracer = &tracer;
+  proto::CoCluster cluster(options);
 
   // A little causal structure: E0 announces, everyone replies, E0 closes.
-  cluster->submit_text(0, "announce");
-  cluster->run_for(1 * sim::kMillisecond);
+  cluster.submit_text(0, "announce");
+  cluster.run_for(1 * sim::kMillisecond);
   for (EntityId e = 1; e < 6; ++e)
-    cluster->submit_text(e, "reply-from-E" + std::to_string(e));
-  cluster->run_for(1 * sim::kMillisecond);
-  cluster->submit_text(0, "close");
-  if (!cluster->run_until_delivered(1000 * sim::kMillisecond)) {
+    cluster.submit_text(e, "reply-from-E" + std::to_string(e));
+  cluster.run_for(1 * sim::kMillisecond);
+  cluster.submit_text(0, "close");
+  if (!cluster.run_until_delivered(1000 * sim::kMillisecond)) {
     std::cerr << "traced_run: cluster did not deliver everything\n";
     return 1;
   }
-  if (const auto v = cluster->check_co_service()) {
+  if (const auto v = cluster.check_co_service()) {
     std::cerr << "traced_run: CO-service violation: " << v->to_string()
               << "\n";
     return 1;

@@ -1,15 +1,16 @@
 // udp_chat — the CO protocol on real UDP sockets, as a tiny chat tool.
 //
 // Demo mode (default, used by the test suite): runs a 3-node cluster inside
-// one process, over real loopback sockets with 10% injected send loss, and
-// prints each node's causally ordered view of a scripted conversation.
+// one process — one host, one shard thread per node — over real loopback
+// sockets with 10% injected send loss, and prints each node's causally
+// ordered view of a scripted conversation.
 //
 // Multi-process mode: run one instance per terminal —
 //   ./udp_chat --self 0 --peers 9000,9001,9002
 //   ./udp_chat --self 1 --peers 9000,9001,9002
 //   ./udp_chat --self 2 --peers 9000,9001,9002
-// then type lines; every line is causally broadcast to all members.
-#include <atomic>
+// then type lines; every line is causally broadcast to all members. Each
+// process is a host with one local entity and the others as peers.
 #include <chrono>
 #include <iostream>
 #include <mutex>
@@ -18,13 +19,14 @@
 #include <thread>
 #include <vector>
 
-#include "src/transport/node.h"
+#include "src/host/host.h"
 
 namespace {
 
 using namespace co;
 using namespace co::transport;
 using namespace std::chrono_literals;
+using host::HostBuilder;
 
 std::vector<UdpEndpoint> parse_peers(const std::string& csv) {
   std::vector<UdpEndpoint> peers;
@@ -36,26 +38,25 @@ std::vector<UdpEndpoint> parse_peers(const std::string& csv) {
   return peers;
 }
 
-int run_interactive(EntityId self, std::vector<UdpEndpoint> peers) {
-  auto node =
-      NodeBuilder(self, peers.size())
-          .peers(std::move(peers))
-          .deliver([](EntityId src, const std::vector<std::uint8_t>& data) {
-            std::cout << "  [from node " << src << "] "
-                      << std::string(data.begin(), data.end()) << '\n';
-          })
-          .build();
+int run_interactive(EntityId self, const std::vector<UdpEndpoint>& peers) {
+  HostBuilder builder(peers.size());
+  builder.entity(self, peers.at(static_cast<std::size_t>(self)))
+      .deliver([](EntityId, EntityId src,
+                  const std::vector<std::uint8_t>& data) {
+        std::cout << "  [from node " << src << "] "
+                  << std::string(data.begin(), data.end()) << '\n';
+      });
+  for (std::size_t i = 0; i < peers.size(); ++i)
+    if (static_cast<EntityId>(i) != self)
+      builder.peer(static_cast<EntityId>(i), peers[i]);
+  auto host = builder.build();
   std::cout << "node " << self << " listening on port "
-            << node->local_endpoint().port << "; type messages:\n";
-  std::atomic<bool> done{false};
-  std::thread loop([&] {
-    while (!done.load()) node->poll_once(5ms);
-  });
+            << host->endpoint(self).port << "; type messages:\n";
+  host->start();
   std::string line;
   while (std::getline(std::cin, line))
-    if (!line.empty()) node->submit({line.begin(), line.end()});
-  done.store(true);
-  loop.join();
+    if (!line.empty()) host->submit(self, {line.begin(), line.end()});
+  host->stop();
   return 0;
 }
 
@@ -68,32 +69,24 @@ int run_demo() {
   pcfg.defer_timeout = 2 * time::kMillisecond;
   pcfg.retransmit_timeout = 10 * time::kMillisecond;
 
-  std::vector<std::unique_ptr<CoNode>> nodes;
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    const auto id = static_cast<EntityId>(i);
-    nodes.push_back(
-        NodeBuilder(id, kNodes)
-            .proto(pcfg)
-            .send_loss(0.10, 7 + i)  // flaky "network"
-            .deliver([&views, &out_mutex, id](
-                         EntityId src, const std::vector<std::uint8_t>& data) {
-              const std::lock_guard<std::mutex> lock(out_mutex);
-              views[static_cast<std::size_t>(id)].push_back(
-                  "node" + std::to_string(src) + ": " +
-                  std::string(data.begin(), data.end()));
-            })
-            .build());
-  }
-  std::vector<UdpEndpoint> table;
-  for (const auto& n : nodes) table.push_back(n->local_endpoint());
-  for (auto& n : nodes) n->set_peers(table);
-
-  std::vector<std::thread> threads;
-  for (auto& n : nodes)
-    threads.emplace_back([&n] { n->run_for(10'000ms); });
+  HostBuilder builder(kNodes);
+  builder.proto(pcfg)
+      .shards(kNodes)        // one thread per node
+      .send_loss(0.10, 7)    // flaky "network"; node i draws seed 7 + i
+      .deliver([&views, &out_mutex](EntityId at, EntityId src,
+                                    const std::vector<std::uint8_t>& data) {
+        const std::lock_guard<std::mutex> lock(out_mutex);
+        views[static_cast<std::size_t>(at)].push_back(
+            "node" + std::to_string(src) + ": " +
+            std::string(data.begin(), data.end()));
+      });
+  for (std::size_t i = 0; i < kNodes; ++i)
+    builder.entity(static_cast<EntityId>(i));
+  auto host = builder.build();
+  host->start();
 
   auto say = [&](EntityId who, const std::string& text) {
-    nodes[static_cast<std::size_t>(who)]->submit({text.begin(), text.end()});
+    host->submit(who, {text.begin(), text.end()});
   };
   auto everyone_has = [&](std::size_t count) {
     const auto deadline = std::chrono::steady_clock::now() + 8'000ms;
@@ -116,8 +109,7 @@ int run_demo() {
   say(2, "count me in");
   ok = ok && everyone_has(3);
 
-  for (auto& n : nodes) n->stop();
-  for (auto& t : threads) t.join();
+  host->stop();
 
   bool order_ok = true;
   for (std::size_t i = 0; i < kNodes; ++i) {
@@ -128,11 +120,11 @@ int run_demo() {
         views[i][0].find("anyone up") == std::string::npos)
       order_ok = false;
   }
-  std::uint64_t dropped = 0, rtx = 0;
-  for (const auto& n : nodes) {
-    dropped += n->stats().datagrams_dropped_injected;
-    rtx += n->protocol_stats().retransmissions_sent;
-  }
+  const std::uint64_t dropped =
+      host->total_wire_stats().datagrams_dropped_injected;
+  std::uint64_t rtx = 0;
+  for (std::size_t i = 0; i < kNodes; ++i)
+    rtx += host->protocol_stats(static_cast<EntityId>(i)).retransmissions_sent;
   std::cout << "\nreal UDP datagrams deliberately dropped: " << dropped
             << "; selectively retransmitted PDUs: " << rtx << '\n';
   if (!ok || !order_ok) {

@@ -4,9 +4,11 @@
 The protocol core must stay deployable without the simulator: src/co may
 include only itself, src/common, src/causality and the two header-only
 trace vocabulary files its observer speaks (an allow-list, so nothing else
-reaches the core unchecked), and the realtime pieces (src/transport plus
-the realtime driver files) may not include src/sim. Run from anywhere;
-exits non-zero and prints every violation as file:line: include.
+reaches the core unchecked); the socket layer src/transport may include
+only itself and src/common (an allow-list, so no protocol node grows back
+under the host); and the realtime driver files may not include src/sim.
+Run from anywhere; exits non-zero and prints every violation as
+file:line: include.
 
 Rules (DESIGN.md "Layering"):
   src/co        -> src/co, src/common, src/causality, and exactly
@@ -14,7 +16,7 @@ Rules (DESIGN.md "Layering"):
                    are held to the same allow-list)
   src/obs       -> no src/sim, no src/driver (tracer/metrics/exporters must
                    stay linkable from the realtime path)
-  src/transport -> no src/sim
+  src/transport -> src/transport, src/common
   src/host      -> no src/sim, no src/net (the sharded host runtime is the
                    deployable path: real sockets and the realtime driver
                    only, never the simulated network)
@@ -37,13 +39,17 @@ CORE_WHY = (
     "and the trace record/event headers"
 )
 
-# (scope, forbidden prefixes, rationale)
-RULES = [
+# (scope, allowed prefixes, rationale)
+ALLOW_RULES = [
     (
         "src/transport",
-        ("src/sim/",),
-        "the realtime transport must not link the simulator",
+        ("src/transport/", "src/common/"),
+        "the socket layer may include only src/transport and src/common",
     ),
+]
+
+# (scope, forbidden prefixes, rationale)
+RULES = [
     (
         "src/host",
         ("src/sim/", "src/net/"),
@@ -76,6 +82,13 @@ def includes_of(path: pathlib.Path):
             yield lineno, m.group(1)
 
 
+def includes_under(scope: str):
+    for path in sorted((REPO / scope).rglob("*")):
+        if path.suffix in (".h", ".cpp"):
+            for lineno, inc in includes_of(path):
+                yield path.relative_to(REPO), lineno, inc
+
+
 def core_allowed(inc: str) -> bool:
     return inc.startswith(CORE_ALLOWED_DIRS) or inc in CORE_ALLOWED_FILES
 
@@ -96,14 +109,15 @@ def main() -> int:
             if not core_allowed(inc):
                 violations.append(f"{rel}:{lineno}: {inc}  ({CORE_WHY})")
 
+    for scope, allowed, why in ALLOW_RULES:
+        for rel, lineno, inc in includes_under(scope):
+            if not inc.startswith(allowed):
+                violations.append(f"{rel}:{lineno}: {inc}  ({why})")
+
     for scope, forbidden, why in RULES:
-        for path in sorted((REPO / scope).rglob("*")):
-            if path.suffix not in (".h", ".cpp"):
-                continue
-            for lineno, inc in includes_of(path):
-                if inc.startswith(forbidden):
-                    rel = path.relative_to(REPO)
-                    violations.append(f"{rel}:{lineno}: {inc}  ({why})")
+        for rel, lineno, inc in includes_under(scope):
+            if inc.startswith(forbidden):
+                violations.append(f"{rel}:{lineno}: {inc}  ({why})")
 
     for rel in REALTIME_DRIVER_FILES:
         path = REPO / rel
@@ -122,7 +136,10 @@ def main() -> int:
         for v in violations:
             print("  " + v)
         return 1
-    print("layering: OK (src/co is sans-io; realtime path is sim-free)")
+    print(
+        "layering: OK (src/co is sans-io; src/transport is the socket layer; "
+        "realtime path is sim-free)"
+    )
     return 0
 
 

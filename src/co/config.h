@@ -95,8 +95,8 @@ struct CoConfig {
   const kern::KernelOps* kernels = nullptr;
 
   /// Check the structural invariants every entity relies on; throws
-  /// std::logic_error (via CO_EXPECT) on violation. CoEntity and
-  /// ClusterBuilder call this, so misconfigurations fail loudly at
+  /// std::logic_error (via CO_EXPECT) on violation. CoCore, CoCluster and
+  /// HostBuilder::build() call this, so misconfigurations fail loudly at
   /// construction instead of corrupting a run.
   void validate() const {
     static_assert(kMaxClusterSize >= kMaxSelectiveEntities,

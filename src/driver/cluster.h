@@ -7,7 +7,7 @@
 // happened-before trace. The cluster itself is the one CoObserver of all n
 // cores: every protocol record (src/co/observer.h) feeds its bookkeeping,
 // then the optional span tracker, Tracer and user observer
-// (ClusterOptions::observer, or ClusterBuilder::observer).
+// (ClusterOptions::observer).
 #pragma once
 
 #include <cstdint>
@@ -155,72 +155,6 @@ class CoCluster final : private CoObserver {
   std::vector<std::uint64_t> expected_deliveries_;
   std::uint64_t submitted_ = 0;
   OnlineStats tap_ms_;
-};
-
-/// Fluent construction for CoCluster:
-///
-///   auto cluster = ClusterBuilder(8)
-///                      .window(4)
-///                      .tracer(&tracer)
-///                      .observer(&tap)
-///                      .build();
-///
-/// The builder only assembles ClusterOptions — build() delegates to the
-/// CoCluster(ClusterOptions) constructor, which remains the primary API.
-/// The cluster size given at construction is authoritative: config()
-/// overwrites every other protocol tunable but keeps n.
-class ClusterBuilder {
- public:
-  explicit ClusterBuilder(std::size_t n) { options_.proto.n = n; }
-
-  /// Replace the whole protocol config (n is preserved from the builder).
-  ClusterBuilder& config(const CoConfig& proto) {
-    const std::size_t n = options_.proto.n;
-    options_.proto = proto;
-    options_.proto.n = n;
-    return *this;
-  }
-  ClusterBuilder& window(SeqNo w) {
-    options_.proto.window = w;
-    return *this;
-  }
-  ClusterBuilder& net(const net::McConfig& net_config) {
-    options_.net = net_config;
-    return *this;
-  }
-  ClusterBuilder& record_trace(bool on) {
-    options_.record_trace = on;
-    return *this;
-  }
-  ClusterBuilder& observability(obs::Observability* bundle) {
-    options_.obs = bundle;
-    return *this;
-  }
-  ClusterBuilder& observer(CoObserver* tap) {
-    options_.observer = tap;
-    return *this;
-  }
-  ClusterBuilder& effect_tap(driver::EffectTap* tap) {
-    options_.effect_tap = tap;
-    return *this;
-  }
-  ClusterBuilder& tracer(obs::trace::Tracer* tracer) {
-    options_.tracer = tracer;
-    return *this;
-  }
-
-  const ClusterOptions& options() const { return options_; }
-
-  /// Validate the assembled options and construct the cluster. Returns a
-  /// unique_ptr because CoCluster pins its address (the drivers' hooks
-  /// point back into it).
-  std::unique_ptr<CoCluster> build() const {
-    options_.proto.validate();
-    return std::make_unique<CoCluster>(options_);
-  }
-
- private:
-  ClusterOptions options_;
 };
 
 }  // namespace co::proto

@@ -7,10 +7,10 @@
 // this layer has ZERO src/sim dependencies, which is what makes the UDP
 // transport deployable without linking the simulator.
 //
-// The clock domain is whatever the caller chooses (CoNode uses nanoseconds
-// since node start); the core only subtracts and compares ticks, so the
-// epoch is irrelevant. Deadlines may land in the past between polls — they
-// simply fire on the next run_timers().
+// The clock domain is whatever the caller chooses (a host shard uses
+// nanoseconds since Host::epoch()); the core only subtracts and compares
+// ticks, so the epoch is irrelevant. Deadlines may land in the past
+// between polls — they simply fire on the next run_timers().
 #pragma once
 
 #include <cstddef>

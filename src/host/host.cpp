@@ -106,11 +106,6 @@ HostBuilder& HostBuilder::proto(const proto::CoConfig& config) {
   return *this;
 }
 
-HostBuilder& HostBuilder::window(SeqNo w) {
-  proto_.window = w;
-  return *this;
-}
-
 HostBuilder& HostBuilder::shards(std::size_t count) {
   CO_EXPECT_MSG(count >= 1, "a host needs at least one shard");
   shards_ = count;

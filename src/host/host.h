@@ -1,15 +1,14 @@
-// Host — a sharded realtime process running many CO entities over real UDP.
+// Host — a sharded realtime process running CO entities over real UDP.
 //
-// The multi-entity counterpart of transport::CoNode and the realtime
-// counterpart of the simulator's CoCluster: one Host owns N shard threads
-// (src/host/shard.h), each driving a slice of the host's local entities
-// with batched socket I/O, while application threads talk to the shards
-// exclusively through lock-free SPSC rings. Entities not hosted here are
-// *peers* — remote processes addressed through the shared endpoint table.
+// The realtime counterpart of the simulator's CoCluster: one Host owns N
+// shard threads (src/host/shard.h), each driving a slice of the host's
+// local entities with batched socket I/O, while application threads talk
+// to the shards exclusively through lock-free SPSC rings. Entities not
+// hosted here are *peers* — remote processes addressed through the shared
+// endpoint table. The paper's deployment, one entity per workstation, is a
+// Host with one local entity and every other entity declared a peer.
 //
-// Construction is the fluent HostBuilder (mirroring driver::ClusterBuilder)
-// with an explicit lifecycle, replacing the order-dependent raw-struct
-// setup the old NodeConfig path required:
+// Construction is the fluent HostBuilder, with an explicit lifecycle:
 //
 //   configured --build()--> bound --start()--> running --stop()--> stopped
 //
@@ -98,6 +97,9 @@ class Host {
   /// Spin (with a small sleep) until quiescent() or `limit` elapsed.
   bool await_quiescent(std::chrono::milliseconds limit) const;
 
+  /// Shard `i`. While the host is bound, a caller may drive it on its own
+  /// thread with shard(i).poll_once() — one thread per shard; never after
+  /// start(), when the shard's own thread runs the loop.
   Shard& shard(std::size_t i) { return *shards_[i]; }
   const Shard& shard(std::size_t i) const { return *shards_[i]; }
 
@@ -108,7 +110,8 @@ class Host {
   /// Protocol counters of one local entity (snapshot; stable after stop).
   proto::CoEntityStats::Snapshot protocol_stats(EntityId id) const;
 
-  /// True when every local entity currently owes/awaits nothing.
+  /// The host-wide clock origin: every shard's clock (Shard::wall_now(),
+  /// the `at` of its trace records) counts nanoseconds since this instant.
   std::chrono::steady_clock::time_point epoch() const { return epoch_; }
 
  private:
@@ -149,7 +152,6 @@ class HostBuilder {
 
   /// Replace the whole protocol config (n is preserved from the builder).
   HostBuilder& proto(const proto::CoConfig& config);
-  HostBuilder& window(SeqNo w);
   HostBuilder& shards(std::size_t count);
   /// Declare a local entity bound to `ep` (default: loopback, ephemeral
   /// port — resolved after build() via Host::endpoint()).
@@ -205,7 +207,7 @@ class HostBuilder {
   obs::trace::Tracer* tracer_ = nullptr;
   double send_loss_ = 0.0;
   std::uint64_t loss_seed_ = Rng::kDefaultSeed;
-  std::size_t submit_queue_capacity_ = 1024;
+  std::size_t submit_queue_capacity_ = kDefaultSubmitQueueCapacity;
   std::size_t recv_batch_datagrams_ = 32;
   std::size_t recv_slot_bytes_ = 2048;
   std::optional<std::chrono::microseconds> poll_spin_;  // nullopt = auto

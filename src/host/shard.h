@@ -29,9 +29,9 @@
 // ONE step (the receipt-pipeline amortization). An entity's own copy of a
 // broadcast never touches the codec: it loops back in-process as the
 // proto::Message itself (a PduRef refcount bump). Deliveries invoke the
-// host's callback on the shard thread. A shard is also usable standalone
-// on a caller's thread via poll_once() — transport::CoNode is exactly
-// that: one shard, one entity.
+// host's callback on the shard thread. Before the host starts its shard
+// threads, a caller may also drive a shard on its own thread via
+// poll_once() (Host::shard()).
 //
 // The loop is event-driven, never tick-paced. A shard sleeps only in
 // poll(2), and three things wake it: a readable entity socket, a due timer
@@ -93,10 +93,9 @@ inline const char* to_string(SubmitResult r) {
   return "?";
 }
 
-/// Wire-level counters one entity accumulates (transport::NodeStats is an
-/// alias of this). Written by the owning shard thread — except
-/// submit_rejected, which the producer side increments — so read them
-/// after stop() or from the shard thread itself.
+/// Wire-level counters one entity accumulates. Written by the owning shard
+/// thread — except submit_rejected, which the producer side increments —
+/// so read them after stop() or from the shard thread itself.
 struct WireStats {
   std::uint64_t datagrams_sent = 0;
   std::uint64_t datagrams_received = 0;
@@ -150,7 +149,10 @@ inline constexpr std::size_t kMaxFrameBytes = 1472;
 int clamped_poll_wait_ms(std::int64_t cap_ms, time::Tick now,
                          std::optional<time::Deadline> earliest);
 
-/// Everything one local entity needs, assembled by HostBuilder/NodeBuilder.
+/// Default capacity of an entity's SPSC submission ring.
+inline constexpr std::size_t kDefaultSubmitQueueCapacity = 1024;
+
+/// Everything one local entity needs, assembled by HostBuilder.
 struct EntityRuntimeConfig {
   EntityId id = kNoEntity;
   proto::CoConfig proto;
@@ -167,7 +169,7 @@ struct EntityRuntimeConfig {
   double send_loss_probability = 0.0;
   std::uint64_t loss_seed = Rng::kDefaultSeed;
   /// Capacity of the SPSC submission ring (rounded up to a power of two).
-  std::size_t submit_queue_capacity = 1024;
+  std::size_t submit_queue_capacity = kDefaultSubmitQueueCapacity;
 };
 
 class Shard;
@@ -190,9 +192,9 @@ class EntityRuntime final : private driver::RealtimeEnv,
   const proto::CoCore& core() const { return *core_; }
 
   /// Producer side of the submission ring. Contract: ONE producer thread
-  /// per entity at a time (the Host documents this; CoNode serializes its
-  /// producers behind a mutex). Never blocks; a full ring rejects. Rings
-  /// the owning shard's doorbell when the shard may be sleeping.
+  /// per entity at a time (the Host documents this). Never blocks; a full
+  /// ring rejects. Rings the owning shard's doorbell when the shard may be
+  /// sleeping.
   ///
   /// Returns kStopped once the shard has run its shutdown drain — after
   /// that point nothing will ever pop the ring again, so accepting would
@@ -293,8 +295,8 @@ class Shard {
   void run(const std::atomic<bool>& stop);
 
   /// Ring the shard's doorbell from any thread: a sleeping poll returns
-  /// immediately. Used by Host::stop()/CoNode::stop(); submission wakeups
-  /// happen automatically inside EntityRuntime::submit().
+  /// immediately. Used by Host::stop(); submission wakeups happen
+  /// automatically inside EntityRuntime::submit().
   void wake() { wakeup_.notify(); }
 
   /// Busy-poll window: after any event, the loop polls with a zero

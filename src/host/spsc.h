@@ -5,8 +5,7 @@
 // thread try_pop()s, and neither side ever takes a lock or allocates. The
 // ring is intentionally strict SPSC — one producer thread per entity is the
 // host contract; callers needing several producers serialize them on their
-// side (transport::CoNode keeps a producer-side mutex for its legacy
-// thread-safe submit()).
+// side.
 //
 // Memory order: the producer publishes a slot with a release store of the
 // tail index; the consumer acquires it before reading the slot (and

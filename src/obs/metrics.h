@@ -8,12 +8,12 @@
 //                 a callback sampled only when a snapshot is taken;
 //   * Histogram — log2-bucketed distribution (stage latencies in ms).
 //
-// Cost discipline mirrors sim::TraceSink: nothing in the protocol hot path
-// touches the registry unless an observability bundle is attached, and the
-// attached cost is one branch + (for histograms) one bucket increment.
-// Callback instruments are only evaluated inside snapshot(), which the
-// caller controls — taking a snapshot schedules no events and emits no
-// trace events, so attaching metrics never perturbs a deterministic run.
+// Cost discipline: nothing in the protocol hot path touches the registry
+// unless an observability bundle is attached, and the attached cost is one
+// branch + (for histograms) one bucket increment. Callback instruments are
+// only evaluated inside snapshot(), which the caller controls — taking a
+// snapshot schedules no events and emits no trace events, so attaching
+// metrics never perturbs a deterministic run.
 #pragma once
 
 #include <cstdint>

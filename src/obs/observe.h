@@ -2,8 +2,7 @@
 //
 // Attach an instance to ClusterOptions::obs (or harness ExperimentConfig)
 // to light up the introspection layer for a run. When none is attached the
-// protocol pays a single null-check per lifecycle milestone — the same
-// discipline as sim::TraceSink.
+// protocol pays a single null-check per lifecycle milestone.
 //
 // Lifetime: the cluster registers callback instruments that sample live
 // protocol state, so take the final registry.snapshot() while the cluster

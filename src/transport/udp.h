@@ -3,7 +3,7 @@
 //
 // The simulator is the primary substrate of this repository; this transport
 // exists so the SAME protocol entity can run over real sockets (see
-// transport/node.h and src/host). Loopback/LAN scope only — exactly the
+// src/host). Loopback/LAN scope only — exactly the
 // deployment the paper's implementation used (workstations on one Ethernet).
 //
 // Batching: send_many()/receive_many() move whole bursts of datagrams per

@@ -1,84 +1,41 @@
 // Integration tests for the sharded host runtime (src/host): many CO
 // entities in one process, split across shard threads, real loopback UDP
 // between them, loss injected at the sender. Delivery logs are checked
-// against the same happened-before oracle the simulator and the
-// single-node transport tests use, and the shared Tracer must end up with
-// one stream per shard thread.
+// against the happened-before oracle the simulator and the single-entity
+// host tests (udp_transport_test) use, and the shared Tracer must end up
+// with one stream per shard thread.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <climits>
 #include <iostream>
-#include <mutex>
 #include <set>
 #include <thread>
 
-#include "src/app/payload.h"
-#include "src/causality/checkers.h"
-#include "src/causality/trace.h"
 #include "src/host/host.h"
 #include "src/obs/trace/tracer.h"
+#include "tests/co_service_oracle.h"
 
 namespace co::host {
 namespace {
 
 using namespace std::chrono_literals;
-using causality::PduKey;
 
-/// One Host, every entity local, and one shared observer feeding the
-/// TraceRecorder oracle: each record names its entity (Record::actor), so a
-/// single observer serves every shard.
+/// One Host with every entity local, checked by one CoServiceOracle.
 class HostHarness {
  public:
-  class OracleObserver final : public proto::CoObserver {
-   public:
-    explicit OracleObserver(HostHarness& owner) : owner_(owner) {}
-    void on_event(const proto::Record& r) override {
-      const auto event = static_cast<proto::EventId>(r.event);
-      if (event != proto::EventId::kSend && event != proto::EventId::kAccept)
-        return;
-      const PduKey k{r.origin, r.seq};
-      const std::lock_guard<std::mutex> lock(owner_.mutex_);
-      if (event == proto::EventId::kAccept) {
-        owner_.trace_.on_accept(r.actor, k);
-        return;
-      }
-      owner_.trace_.on_send(r.actor, k);
-      if (r.arg == 1)
-        owner_.data_keys_[static_cast<std::size_t>(r.actor)].push_back(k);
-    }
-
-   private:
-    HostHarness& owner_;
-  };
-
   HostHarness(std::size_t n, std::size_t shards, double send_loss,
               obs::trace::Tracer* tracer, std::size_t recv_slot_bytes = 2048)
-      : n_(n),
-        trace_(n),
-        logs_(n),
-        data_keys_(n),
-        submissions_(n, 0),
-        oracle_(*this) {
-    proto::CoConfig cfg;
-    cfg.cid = 42;
-    cfg.defer_timeout = 2 * time::kMillisecond;
-    cfg.retransmit_timeout = 10 * time::kMillisecond;
-    cfg.assumed_peer_buffer = 1u << 16;
-
+      : oracle_(n) {
     HostBuilder builder(n);
-    builder.proto(cfg)
+    builder.proto(oracle_test_config())
         .shards(shards)
         .send_loss(send_loss, /*seed=*/1000)
         .tracer(tracer)
         .observer(&oracle_)
         .recv_batch(32, recv_slot_bytes)
-        .deliver([this](EntityId at, EntityId,
-                        const std::vector<std::uint8_t>& data) {
-          const std::lock_guard<std::mutex> lock(mutex_);
-          logs_[static_cast<std::size_t>(at)].push_back(data);
-        });
+        .deliver(oracle_.deliver_fn());
     for (std::size_t i = 0; i < n; ++i)
       builder.entity(static_cast<EntityId>(i));
     host_ = builder.build();
@@ -87,60 +44,14 @@ class HostHarness {
   Host& host() { return *host_; }
 
   void submit(EntityId at, std::size_t payload_bytes = 32) {
-    const auto idx = submissions_[static_cast<std::size_t>(at)]++;
-    ASSERT_EQ(host_->submit(at, app::make_payload(at, idx, payload_bytes)),
+    ASSERT_EQ(host_->submit(at, oracle_.next_payload(at, payload_bytes)),
               SubmitResult::kAccepted);
   }
 
-  std::size_t delivered_count(EntityId i) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return logs_[static_cast<std::size_t>(i)].size();
-  }
-
-  bool await_deliveries(std::size_t expect, std::chrono::milliseconds limit) {
-    const auto deadline = std::chrono::steady_clock::now() + limit;
-    for (;;) {
-      bool done = true;
-      for (std::size_t i = 0; i < n_; ++i)
-        done &= delivered_count(static_cast<EntityId>(i)) >= expect;
-      if (done) return true;
-      if (std::chrono::steady_clock::now() > deadline) return false;
-      std::this_thread::sleep_for(2ms);
-    }
-  }
-
-  /// Full CO-service check against the oracle (same contract as the
-  /// transport and simulator suites).
-  std::optional<causality::Violation> check_co_service() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<causality::DeliveryLog> key_logs(n_);
-    for (std::size_t i = 0; i < n_; ++i) {
-      for (const auto& bytes : logs_[i]) {
-        const auto info = app::verify_payload(bytes);
-        if (!info)
-          return causality::Violation{"payload", static_cast<EntityId>(i),
-                                      {}, {}, "corrupt payload"};
-        const auto& keys = data_keys_[static_cast<std::size_t>(info->src)];
-        if (info->index >= keys.size())
-          return causality::Violation{"payload", static_cast<EntityId>(i),
-                                      {}, {}, "delivery precedes send?!"};
-        key_logs[i].push_back(keys[info->index]);
-      }
-    }
-    std::vector<PduKey> sent;
-    for (const auto& ks : data_keys_)
-      sent.insert(sent.end(), ks.begin(), ks.end());
-    return causality::check_co_service(key_logs, sent, trace_);
-  }
+  CoServiceOracle& oracle() { return oracle_; }
 
  private:
-  std::size_t n_;
-  std::mutex mutex_;
-  causality::TraceRecorder trace_;
-  std::vector<std::vector<std::vector<std::uint8_t>>> logs_;
-  std::vector<std::vector<PduKey>> data_keys_;
-  std::vector<std::uint64_t> submissions_;
-  OracleObserver oracle_;
+  CoServiceOracle oracle_;
   std::unique_ptr<Host> host_;
 };
 
@@ -164,7 +75,7 @@ TEST(HostRuntime, CoServiceAcrossShardsUnderLoss) {
     std::this_thread::sleep_for(2ms);
   }
 
-  ASSERT_TRUE(h.await_deliveries(kRounds * kN, 40'000ms));
+  ASSERT_TRUE(h.oracle().await_deliveries(kRounds * kN, 40'000ms));
   // Cross-shard quiescence: nothing owed or buffered anywhere once every
   // delivery landed and the retransmission machinery drained. The budget is
   // sized for sanitizer builds (TSan runs 10-20x slower and the post-loss
@@ -193,7 +104,7 @@ TEST(HostRuntime, CoServiceAcrossShardsUnderLoss) {
   }
   EXPECT_TRUE(quiet);
 
-  EXPECT_EQ(h.check_co_service(), std::nullopt);
+  EXPECT_EQ(h.oracle().check_co_service(), std::nullopt);
 
   const WireStats total = h.host().total_wire_stats();
   EXPECT_GT(total.datagrams_dropped_injected, 0u);  // loss actually injected
@@ -328,14 +239,14 @@ TEST(HostRuntime, OversizedDatagramIsCountedNotMisparsed) {
   // counters owned by the shard thread, so assert only after stop().
   h.submit(0);
   h.submit(1);
-  ASSERT_TRUE(h.await_deliveries(2, 10'000ms));
+  ASSERT_TRUE(h.oracle().await_deliveries(2, 10'000ms));
   h.host().stop();
 
   const WireStats& s = h.host().wire_stats(0);
   EXPECT_EQ(s.truncated_datagrams, 1u);
   EXPECT_GE(s.decode_errors, 1u);  // the truncated one counts as loss
   EXPECT_EQ(h.host().wire_stats(1).truncated_datagrams, 0u);
-  EXPECT_EQ(h.check_co_service(), std::nullopt);
+  EXPECT_EQ(h.oracle().check_co_service(), std::nullopt);
 }
 
 // Satellite: submissions racing Host::stop() are never silently lost — a
@@ -482,7 +393,7 @@ TEST(HostRuntime, FramesFitSmallReceiveSlots) {
     for (EntityId e = 0; e < static_cast<EntityId>(kN); ++e)
       h.submit(e, /*payload_bytes=*/200);
   h.host().start();
-  ASSERT_TRUE(h.await_deliveries(kRounds * kN, 20'000ms));
+  ASSERT_TRUE(h.oracle().await_deliveries(kRounds * kN, 20'000ms));
   h.host().stop();
   tracer.flush();
 
@@ -492,7 +403,7 @@ TEST(HostRuntime, FramesFitSmallReceiveSlots) {
   }
   EXPECT_LE(tally.largest, kSlot);
   EXPECT_GT(tally.messages, tally.frames);  // some frames held several PDUs
-  EXPECT_EQ(h.check_co_service(), std::nullopt);
+  EXPECT_EQ(h.oracle().check_co_service(), std::nullopt);
 }
 
 // Every broadcast leaves in exactly one frame: the wire_tx records'
@@ -508,7 +419,7 @@ TEST(HostRuntime, WireTxCountsEveryBroadcastOnce) {
   h.host().start();
   for (int round = 0; round < 4; ++round)
     for (EntityId e = 0; e < static_cast<EntityId>(kN); ++e) h.submit(e);
-  ASSERT_TRUE(h.await_deliveries(4 * kN, 40'000ms));
+  ASSERT_TRUE(h.oracle().await_deliveries(4 * kN, 40'000ms));
   for (EntityId e = 0; e < static_cast<EntityId>(kN); ++e) h.submit(e);
   h.host().stop();
   tracer.flush();

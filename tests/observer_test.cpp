@@ -1,6 +1,6 @@
 // Unit tests: the single record-carrying CoObserver (null object, the
-// cluster's record stream against its Tracer, user tap plumbing), the
-// ClusterBuilder fluent API, and the DstMask width regression for clusters
+// cluster's record stream against its Tracer, user tap plumbing),
+// ClusterOptions validation, and the DstMask width regression for clusters
 // larger than 64 entities.
 #include <gtest/gtest.h>
 
@@ -45,21 +45,18 @@ TEST(ProtocolTrace, ClusterEmitsLifecycleEvents) {
   tc.ring_capacity = std::size_t{1} << 16;
   obs::trace::Tracer tracer(tc);
   RecordLog log;
-  const auto c = ClusterBuilder(6)
-                     .net([] {
-                       net::McConfig n;
-                       n.delay = net::DelayModel::fixed(100_us);
-                       n.buffer_capacity = 1024;
-                       return n;
-                     }())
-                     .tracer(&tracer)
-                     .observer(&log)
-                     .build();
-  c->network().force_drop(0, 2, 1);
-  c->submit_text(0, "a");
-  c->submit_text(0, "b");
-  c->submit_text(3, "c");
-  ASSERT_TRUE(c->run_until_delivered(60'000 * sim::kMillisecond));
+  ClusterOptions o;
+  o.proto.n = 6;
+  o.net.delay = net::DelayModel::fixed(100_us);
+  o.net.buffer_capacity = 1024;
+  o.tracer = &tracer;
+  o.observer = &log;
+  CoCluster c(o);
+  c.network().force_drop(0, 2, 1);
+  c.submit_text(0, "a");
+  c.submit_text(0, "b");
+  c.submit_text(3, "c");
+  ASSERT_TRUE(c.run_until_delivered(60'000 * sim::kMillisecond));
 
   ASSERT_EQ(tracer.dropped(), 0u) << "ring too small for the run";
   const std::vector<Record> traced = tracer.snapshot();
@@ -118,59 +115,13 @@ ClusterOptions small_options() {
   return o;
 }
 
-TEST(ClusterBuilder, BuildsAConfiguredCluster) {
-  const auto c = ClusterBuilder(3)
-                     .window(4)
-                     .net([] {
-                       net::McConfig n;
-                       n.delay = net::DelayModel::fixed(100_us);
-                       n.buffer_capacity = 4096;
-                       return n;
-                     }())
-                     .build();
-  EXPECT_EQ(c->size(), 3u);
-  EXPECT_EQ(c->entity(0).config().window, 4u);
-  c->submit_text(0, "hello");
-  ASSERT_TRUE(c->run_until_delivered(1'000 * sim::kMillisecond));
-  EXPECT_EQ(c->deliveries(1).size(), 1u);
-  EXPECT_EQ(c->check_co_service(), std::nullopt);
+TEST(ClusterOptions, RejectsInvalidConfigAtConstruction) {
+  ClusterOptions o = small_options();
+  o.proto.n = 1;  // n < 2
+  EXPECT_THROW(CoCluster{o}, std::logic_error);
 }
 
-TEST(ClusterBuilder, ConfigPreservesTheBuilderN) {
-  CoConfig cfg;  // n deliberately unset (0)
-  cfg.window = 2;
-  const auto c = ClusterBuilder(4)
-                     .config(cfg)
-                     .net(small_options().net)
-                     .build();
-  EXPECT_EQ(c->size(), 4u);
-  EXPECT_EQ(c->entity(0).config().window, 2u);
-}
-
-TEST(ClusterBuilder, RejectsInvalidConfigAtBuild) {
-  EXPECT_THROW((void)ClusterBuilder(1).build(), std::logic_error);  // n < 2
-}
-
-TEST(ClusterBuilder, EquivalentToDirectConstruction) {
-  // The builder is sugar over ClusterOptions; a run through each must be
-  // deterministic and identical.
-  CoCluster direct(small_options());
-  const auto built = ClusterBuilder(3)
-                         .config(small_options().proto)
-                         .net(small_options().net)
-                         .build();
-  for (auto* c : {&direct, built.get()}) {
-    c->submit_text(0, "a");
-    c->submit_text(1, "b");
-    ASSERT_TRUE(c->run_until_delivered(1'000 * sim::kMillisecond));
-  }
-  EXPECT_EQ(direct.all_delivered_keys(), built->all_delivered_keys());
-  EXPECT_EQ(direct.scheduler().now(), built->scheduler().now());
-  EXPECT_EQ(direct.network().stats().pdus_sent,
-            built->network().stats().pdus_sent);
-}
-
-TEST(ClusterBuilder, UserObserverSeesEveryMilestoneAfterBookkeeping) {
+TEST(ClusterOptions, UserObserverSeesEveryMilestoneAfterBookkeeping) {
   struct Tap final : CoObserver {
     CoCluster* cluster = nullptr;
     std::size_t sends = 0, accepts = 0, acks = 0;
@@ -188,20 +139,18 @@ TEST(ClusterBuilder, UserObserverSeesEveryMilestoneAfterBookkeeping) {
       acks += e == EventId::kAck;
     }
   } tap;
-  const auto c = ClusterBuilder(3)
-                     .config(small_options().proto)
-                     .net(small_options().net)
-                     .observer(&tap)
-                     .build();
-  tap.cluster = c.get();
-  c->submit_text(0, "observed");
-  ASSERT_TRUE(c->run_until_delivered(1'000 * sim::kMillisecond));
+  ClusterOptions o = small_options();
+  o.observer = &tap;
+  CoCluster c(o);
+  tap.cluster = &c;
+  c.submit_text(0, "observed");
+  ASSERT_TRUE(c.run_until_delivered(1'000 * sim::kMillisecond));
   EXPECT_EQ(tap.sends, 1u);   // the data PDU
   EXPECT_GE(tap.accepts, 3u); // accepted at every entity
   EXPECT_GE(tap.acks, 3u);    // lifecycle milestones flow to the tap
   EXPECT_TRUE(tap.bookkeeping_first);
   // The cluster's own bookkeeping ran too (delivery logs are its job).
-  EXPECT_EQ(c->deliveries(1).size(), 1u);
+  EXPECT_EQ(c.deliveries(1).size(), 1u);
 }
 
 // Regression: DstMask is 64 bits wide. Clusters beyond 64 entities used to

@@ -145,10 +145,14 @@ TEST(TraceIntegration, SixEntityClusterExportsTracksAndFlows) {
   config.ring_capacity = 1 << 14;
   Tracer tracer(config);
 
-  auto cluster = proto::ClusterBuilder(6).window(8).tracer(&tracer).build();
+  proto::ClusterOptions options;
+  options.proto.n = 6;
+  options.proto.window = 8;
+  options.tracer = &tracer;
+  proto::CoCluster cluster(options);
   for (EntityId e = 0; e < 6; ++e)
-    cluster->submit_text(e, "m" + std::to_string(e));
-  ASSERT_TRUE(cluster->run_until_delivered(1000 * sim::kMillisecond));
+    cluster.submit_text(e, "m" + std::to_string(e));
+  ASSERT_TRUE(cluster.run_until_delivered(1000 * sim::kMillisecond));
 
   const auto records = tracer.snapshot();
   ASSERT_FALSE(records.empty());

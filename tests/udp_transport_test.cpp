@@ -1,176 +1,82 @@
-// Integration tests: the CO protocol over REAL UDP sockets on loopback —
-// CoNodes on their own threads, loss injected at the sender (the loopback
-// path itself is effectively lossless), delivery logs checked against a
-// shared happened-before oracle.
+// Integration tests: the CO protocol over REAL UDP sockets on loopback,
+// deployed as the paper deploys it — one entity per process. Each entity
+// gets its own single-entity Host, and the hosts learn each other's
+// endpoints through set_peer() before start(), so every PDU crosses between
+// separately built hosts. Loss is injected at the sender (the loopback path
+// itself is effectively lossless) and delivery logs are checked against
+// the shared happened-before oracle.
 #include <gtest/gtest.h>
 
 #include <sys/time.h>
 
 #include <csignal>
-#include <map>
-#include <mutex>
 #include <thread>
 
-#include "src/app/payload.h"
-#include "src/causality/checkers.h"
-#include "src/causality/trace.h"
-#include "src/transport/node.h"
+#include "src/host/host.h"
+#include "tests/co_service_oracle.h"
 
 namespace co::transport {
 namespace {
 
 using namespace std::chrono_literals;
-using causality::PduKey;
+using host::Host;
+using host::HostBuilder;
+using host::SubmitResult;
 
+/// n single-entity hosts, one per entity, checked by one CoServiceOracle.
 class UdpCluster {
  public:
-  /// Feeds the shared oracle from every node's protocol records (one
-  /// observer for all nodes: Record::actor names the reporting node).
-  class OracleObserver final : public proto::CoObserver {
-   public:
-    explicit OracleObserver(UdpCluster& owner) : owner_(owner) {}
-    void on_event(const proto::Record& r) override {
-      const auto event = static_cast<proto::EventId>(r.event);
-      if (event != proto::EventId::kSend && event != proto::EventId::kAccept)
-        return;
-      const PduKey k{r.origin, r.seq};
-      const std::lock_guard<std::mutex> lock(owner_.mutex_);
-      if (event == proto::EventId::kAccept) {
-        owner_.trace_.on_accept(r.actor, k);
-        return;
-      }
-      owner_.trace_.on_send(r.actor, k);
-      if (r.arg == 1)
-        owner_.data_keys_[static_cast<std::size_t>(r.actor)].push_back(k);
-    }
-
-   private:
-    UdpCluster& owner_;
-  };
-
-  explicit UdpCluster(std::size_t n, double send_loss = 0.0)
-      : n_(n),
-        trace_(n),
-        logs_(n),
-        data_keys_(n),
-        submissions_(n, 0),
-        oracle_(*this) {
-    proto::CoConfig pcfg;
-    pcfg.cid = 42;
-    pcfg.defer_timeout = 2 * time::kMillisecond;
-    pcfg.retransmit_timeout = 10 * time::kMillisecond;
-    pcfg.assumed_peer_buffer = 1u << 16;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto id = static_cast<EntityId>(i);
-      nodes_.push_back(
-          NodeBuilder(id, n)
-              .proto(pcfg)
-              .send_loss(send_loss, 1000 + i)
-              .observer(&oracle_)
-              .deliver([this, id](EntityId,
-                                  const std::vector<std::uint8_t>& d) {
-                const std::lock_guard<std::mutex> lock(mutex_);
-                logs_[static_cast<std::size_t>(id)].push_back(d);
-              })
-              .build());
-    }
-    std::vector<UdpEndpoint> table;
-    for (const auto& node : nodes_) table.push_back(node->local_endpoint());
-    for (auto& node : nodes_) node->set_peers(table);
+  explicit UdpCluster(std::size_t n, double send_loss = 0.0) : oracle_(n) {
+    for (std::size_t i = 0; i < n; ++i)
+      hosts_.push_back(HostBuilder(n)
+                           .proto(host::oracle_test_config())
+                           .entity(static_cast<EntityId>(i))
+                           .send_loss(send_loss, /*seed=*/1000)
+                           .observer(&oracle_)
+                           .deliver(oracle_.deliver_fn())
+                           .build());
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        if (i != j)
+          hosts_[i]->set_peer(static_cast<EntityId>(j),
+                              hosts_[j]->endpoint(static_cast<EntityId>(j)));
   }
-
-  ~UdpCluster() { stop_and_join(); }
 
   void start() {
-    for (auto& node : nodes_)
-      threads_.emplace_back([&node] { node->run_for(60'000ms); });
+    for (auto& h : hosts_) h->start();
   }
 
-  void stop_and_join() {
-    for (auto& node : nodes_) node->stop();
-    for (auto& t : threads_) t.join();
-    threads_.clear();
+  void stop() {
+    for (auto& h : hosts_) h->stop();
   }
 
-  CoNode& node(EntityId i) { return *nodes_[static_cast<std::size_t>(i)]; }
+  /// The host running entity `i`.
+  Host& host(EntityId i) { return *hosts_[static_cast<std::size_t>(i)]; }
 
-  /// Submit a self-describing payload at `at`; tagged (at, k) where k is
-  /// the per-entity submission counter.
   void submit(EntityId at) {
-    const auto idx = submissions_[static_cast<std::size_t>(at)]++;
-    node(at).submit(app::make_payload(at, idx, 32));
+    ASSERT_EQ(host(at).submit(at, oracle_.next_payload(at)),
+              SubmitResult::kAccepted);
   }
 
-  std::size_t delivered_count(EntityId i) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return logs_[static_cast<std::size_t>(i)].size();
-  }
+  host::CoServiceOracle& oracle() { return oracle_; }
 
-  bool await_deliveries(std::size_t expect, std::chrono::milliseconds limit) {
-    const auto deadline = std::chrono::steady_clock::now() + limit;
-    for (;;) {
-      bool done = true;
-      for (std::size_t i = 0; i < n_; ++i)
-        done &= delivered_count(static_cast<EntityId>(i)) >= expect;
-      if (done) return true;
-      if (std::chrono::steady_clock::now() > deadline) return false;
-      std::this_thread::sleep_for(2ms);
-    }
-  }
-
-  /// Full CO-service check against the oracle. The i-th data payload an
-  /// entity submitted corresponds to its i-th data send key (the node
-  /// transmits DT requests in FIFO order).
-  std::optional<causality::Violation> check_co_service() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<causality::DeliveryLog> key_logs(n_);
-    for (std::size_t i = 0; i < n_; ++i) {
-      for (const auto& bytes : logs_[i]) {
-        const auto info = app::verify_payload(bytes);
-        if (!info)
-          return causality::Violation{"payload", static_cast<EntityId>(i),
-                                      {}, {}, "corrupt payload"};
-        const auto& keys = data_keys_[static_cast<std::size_t>(info->src)];
-        if (info->index >= keys.size())
-          return causality::Violation{"payload", static_cast<EntityId>(i),
-                                      {}, {}, "delivery precedes send?!"};
-        key_logs[i].push_back(keys[info->index]);
-      }
-    }
-    std::vector<PduKey> sent;
-    for (const auto& ks : data_keys_)
-      sent.insert(sent.end(), ks.begin(), ks.end());
-    return causality::check_co_service(key_logs, sent, trace_);
-  }
-
-  NodeStats total_net_stats() {
-    NodeStats s;
-    for (const auto& node : nodes_) {
-      s.datagrams_sent += node->stats().datagrams_sent;
-      s.datagrams_received += node->stats().datagrams_received;
-      s.datagrams_dropped_injected += node->stats().datagrams_dropped_injected;
-      s.decode_errors += node->stats().decode_errors;
-    }
+  host::WireStats total_wire_stats() const {
+    host::WireStats s;
+    for (const auto& h : hosts_) s += h->total_wire_stats();
     return s;
   }
 
-  std::uint64_t total_retransmissions() {
+  std::uint64_t total_retransmissions() const {
     std::uint64_t r = 0;
-    for (const auto& node : nodes_)
-      r += node->protocol_stats().retransmissions_sent;
+    for (std::size_t i = 0; i < hosts_.size(); ++i)
+      r += hosts_[i]->protocol_stats(static_cast<EntityId>(i))
+               .retransmissions_sent;
     return r;
   }
 
  private:
-  std::size_t n_;
-  std::mutex mutex_;
-  causality::TraceRecorder trace_;
-  std::vector<std::vector<std::vector<std::uint8_t>>> logs_;
-  std::vector<std::vector<PduKey>> data_keys_;
-  std::vector<std::uint64_t> submissions_;
-  OracleObserver oracle_;
-  std::vector<std::unique_ptr<CoNode>> nodes_;
-  std::vector<std::thread> threads_;
+  host::CoServiceOracle oracle_;
+  std::vector<std::unique_ptr<Host>> hosts_;
 };
 
 TEST(UdpTransport, SocketBindSendReceiveRoundTrip) {
@@ -192,23 +98,23 @@ TEST(UdpTransport, LossFreeDeliveryAcrossRealSockets) {
   cluster.start();
   for (int round = 0; round < 5; ++round)
     for (EntityId e = 0; e < 3; ++e) cluster.submit(e);
-  ASSERT_TRUE(cluster.await_deliveries(15, 20'000ms));
-  cluster.stop_and_join();
-  EXPECT_EQ(cluster.check_co_service(), std::nullopt);
-  EXPECT_EQ(cluster.total_net_stats().decode_errors, 0u);
+  ASSERT_TRUE(cluster.oracle().await_deliveries(15, 20'000ms));
+  cluster.stop();
+  EXPECT_EQ(cluster.oracle().check_co_service(), std::nullopt);
+  EXPECT_EQ(cluster.total_wire_stats().decode_errors, 0u);
 }
 
 TEST(UdpTransport, CausalChainAcrossRealSockets) {
   UdpCluster cluster(3);
   cluster.start();
   cluster.submit(0);
-  ASSERT_TRUE(cluster.await_deliveries(1, 10'000ms));
+  ASSERT_TRUE(cluster.oracle().await_deliveries(1, 10'000ms));
   cluster.submit(1);  // causally after E0's message everywhere
-  ASSERT_TRUE(cluster.await_deliveries(2, 10'000ms));
+  ASSERT_TRUE(cluster.oracle().await_deliveries(2, 10'000ms));
   cluster.submit(2);
-  ASSERT_TRUE(cluster.await_deliveries(3, 10'000ms));
-  cluster.stop_and_join();
-  EXPECT_EQ(cluster.check_co_service(), std::nullopt);
+  ASSERT_TRUE(cluster.oracle().await_deliveries(3, 10'000ms));
+  cluster.stop();
+  EXPECT_EQ(cluster.oracle().check_co_service(), std::nullopt);
 }
 
 TEST(UdpTransport, RecoversFromInjectedSendLoss) {
@@ -218,39 +124,11 @@ TEST(UdpTransport, RecoversFromInjectedSendLoss) {
     for (EntityId e = 0; e < 3; ++e) cluster.submit(e);
     std::this_thread::sleep_for(3ms);
   }
-  ASSERT_TRUE(cluster.await_deliveries(24, 40'000ms));
-  cluster.stop_and_join();
-  EXPECT_EQ(cluster.check_co_service(), std::nullopt);
-  EXPECT_GT(cluster.total_net_stats().datagrams_dropped_injected, 0u);
+  ASSERT_TRUE(cluster.oracle().await_deliveries(24, 40'000ms));
+  cluster.stop();
+  EXPECT_EQ(cluster.oracle().check_co_service(), std::nullopt);
+  EXPECT_GT(cluster.total_wire_stats().datagrams_dropped_injected, 0u);
   EXPECT_GT(cluster.total_retransmissions(), 0u);
-}
-
-// Regression: mutating the peer table after the event loop started used to
-// be a silent data race with the polling thread; it must throw now.
-TEST(UdpTransport, SetPeersAfterRunStartedThrows) {
-  auto node = NodeBuilder(0, 2)
-                  .deliver([](EntityId, const std::vector<std::uint8_t>&) {})
-                  .build();
-  std::vector<UdpEndpoint> table{node->local_endpoint(),
-                                 UdpEndpoint::loopback(1)};
-  node->set_peers(table);  // bound: legal
-  node->poll_once(0ms);    // enters the running state
-  EXPECT_THROW(node->set_peers(table), std::logic_error);
-}
-
-// Regression: submit() used to queue into an unbounded inbox; the bounded
-// submission ring must reject (and count) overflow instead.
-TEST(UdpTransport, SubmitBackpressureIsBoundedAndCounted) {
-  auto node = NodeBuilder(0, 2)
-                  .peer(1, UdpEndpoint::loopback(1))
-                  .submit_queue(4)
-                  .deliver([](EntityId, const std::vector<std::uint8_t>&) {})
-                  .build();
-  // Never polled: nothing drains, so the ring capacity is the bound.
-  for (int i = 0; i < 4; ++i)
-    EXPECT_EQ(node->submit({1, 2, 3}), host::SubmitResult::kAccepted);
-  EXPECT_EQ(node->submit({1, 2, 3}), host::SubmitResult::kQueueFull);
-  EXPECT_EQ(node->stats().submit_rejected, 1u);
 }
 
 // Regression: wait_readable treated the first EINTR as "not readable",
@@ -295,24 +173,25 @@ TEST(UdpTransport, WaitReadableSurvivesSignalStorm) {
 // Regression: a timer armed days out (huge defer/retransmit timeouts)
 // used to wrap the Tick -> int poll-timeout cast negative in the shard
 // loop, turning idle poll_once calls into a 100%-CPU busy spin. Ten 5 ms
-// idle polls must now take real wall time.
+// idle polls of a bound host's shard must now take real wall time.
 TEST(UdpTransport, FarFutureTimerDoesNotBusySpinPollOnce) {
   proto::CoConfig pcfg;
   pcfg.cid = 7;
   pcfg.defer_timeout = 30ll * 24 * 3600 * time::kSecond;
   pcfg.retransmit_timeout = 40ll * 24 * 3600 * time::kSecond;
-  auto node = NodeBuilder(0, 2)
+  auto host = HostBuilder(2)
                   .proto(pcfg)
+                  .entity(0)
                   .peer(1, UdpEndpoint::loopback(1))  // black hole
-                  .deliver([](EntityId, const std::vector<std::uint8_t>&) {})
                   .build();
+  host::Shard& shard = host->shard(0);
   // One submission arms both far-future timers (the peer never answers).
-  ASSERT_EQ(node->submit({1, 2, 3}), host::SubmitResult::kAccepted);
-  node->poll_once(5ms);
+  ASSERT_EQ(host->submit(0, {1, 2, 3}), SubmitResult::kAccepted);
+  shard.poll_once(5ms);
   std::this_thread::sleep_for(5ms);  // outlive the post-activity spin window
 
   const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < 10; ++i) node->poll_once(5ms);
+  for (int i = 0; i < 10; ++i) shard.poll_once(5ms);
   // >= 20 ms allows generous scheduler slop; the busy spin returned in
   // microseconds.
   EXPECT_GE(std::chrono::steady_clock::now() - t0, 20ms);
@@ -336,44 +215,35 @@ TEST(UdpTransport, QueuedSubmitsLeaveAsOneDatagram) {
 
   proto::CoConfig pcfg;
   pcfg.assumed_peer_buffer = 1u << 16;
-  auto sender = NodeBuilder(0, 2)
-                    .proto(pcfg)
-                    .deliver([](EntityId, const std::vector<std::uint8_t>&) {})
-                    .build();
-  auto receiver = NodeBuilder(1, 2)
-                      .proto(pcfg)
-                      .observer(&accepted)
-                      .deliver([](EntityId,
-                                  const std::vector<std::uint8_t>&) {})
-                      .build();
-  const std::vector<UdpEndpoint> table{sender->local_endpoint(),
-                                       receiver->local_endpoint()};
-  sender->set_peers(table);
-  receiver->set_peers(table);
+  auto sender = HostBuilder(2).proto(pcfg).entity(0).build();
+  auto receiver =
+      HostBuilder(2).proto(pcfg).entity(1).observer(&accepted).build();
+  sender->set_peer(1, receiver->endpoint(1));
+  receiver->set_peer(0, sender->endpoint(0));
 
   for (int i = 0; i < kSubmits; ++i)
-    ASSERT_EQ(sender->submit({1, 2, static_cast<std::uint8_t>(i)}),
-              host::SubmitResult::kAccepted);
-  sender->poll_once(0ms);
-  EXPECT_EQ(sender->protocol_stats().snapshot().data_pdus_sent,
+    ASSERT_EQ(sender->submit(0, {1, 2, static_cast<std::uint8_t>(i)}),
+              SubmitResult::kAccepted);
+  sender->shard(0).poll_once(0ms);
+  EXPECT_EQ(sender->protocol_stats(0).data_pdus_sent,
             static_cast<std::uint64_t>(kSubmits));
-  EXPECT_EQ(sender->stats().datagrams_sent, 1u);
+  EXPECT_EQ(sender->wire_stats(0).datagrams_sent, 1u);
 
   // Loopback sendmmsg is synchronous: the frame already waits in the
   // receiver's socket buffer.
-  receiver->poll_once(1000ms);
-  EXPECT_EQ(receiver->stats().datagrams_received, 1u);
-  EXPECT_EQ(receiver->stats().decode_errors, 0u);
+  receiver->shard(0).poll_once(1000ms);
+  EXPECT_EQ(receiver->wire_stats(1).datagrams_received, 1u);
+  EXPECT_EQ(receiver->wire_stats(1).decode_errors, 0u);
   EXPECT_EQ(accepted.from_zero, kSubmits);
 }
 
 TEST(UdpTransport, GarbageDatagramsAreIgnored) {
   UdpCluster cluster(2);
   cluster.start();
-  // Blast junk at node 0's port from a raw socket.
+  // Blast junk at entity 0's port from a raw socket.
   UdpSocket junk;
   junk.bind_loopback(0);
-  const auto target = cluster.node(0).local_endpoint();
+  const auto target = cluster.host(0).endpoint(0);
   for (int i = 0; i < 50; ++i) {
     std::vector<std::uint8_t> noise(1 + i % 32,
                                     static_cast<std::uint8_t>(i * 37));
@@ -381,10 +251,10 @@ TEST(UdpTransport, GarbageDatagramsAreIgnored) {
   }
   cluster.submit(0);
   cluster.submit(1);
-  ASSERT_TRUE(cluster.await_deliveries(2, 20'000ms));
-  cluster.stop_and_join();
-  EXPECT_EQ(cluster.check_co_service(), std::nullopt);
-  EXPECT_GT(cluster.node(0).stats().decode_errors, 0u);
+  ASSERT_TRUE(cluster.oracle().await_deliveries(2, 20'000ms));
+  cluster.stop();
+  EXPECT_EQ(cluster.oracle().check_co_service(), std::nullopt);
+  EXPECT_GT(cluster.host(0).wire_stats(0).decode_errors, 0u);
 }
 
 }  // namespace
