@@ -30,6 +30,11 @@ void Host::set_peer(EntityId id, transport::UdpEndpoint ep) {
   CO_EXPECT_MSG(!is_local(id),
                 "E" << id << " is local; its endpoint is fixed by bind()");
   peers_[static_cast<std::size_t>(id)] = ep;
+  update_destinations();
+}
+
+void Host::update_destinations() {
+  for (auto& shard : shards_) shard->update_destinations();
 }
 
 void Host::start() {
@@ -79,15 +84,9 @@ bool Host::await_quiescent(std::chrono::milliseconds limit) const {
   return true;
 }
 
-const WireStats& Host::wire_stats(EntityId id) const {
-  return runtime(id).wire_stats();
-}
-
 WireStats Host::total_wire_stats() const {
   WireStats total;
-  for (const auto& shard : shards_)
-    for (std::size_t i = 0; i < shard->entity_count(); ++i)
-      total += shard->entity(i).wire_stats();
+  for (const auto& shard : shards_) total += shard->wire_stats();
   return total;
 }
 
@@ -186,7 +185,22 @@ std::unique_ptr<Host> HostBuilder::build() {
     host->peers_[static_cast<std::size_t>(id)] = ep;
   }
 
+  // Placement is round-robin in declaration order: entity i lives on
+  // shard i % shard_count. Each shard binds one socket, to the port its
+  // entities ask for explicitly, if any (0 = ephemeral).
   const std::size_t shard_count = std::min(shards_, entities_.size());
+  std::vector<std::uint16_t> ports(shard_count, 0);
+  for (std::size_t i = 0; i < entities_.size(); ++i) {
+    const auto [id, ep] = entities_[i];
+    if (ep.port == 0) continue;
+    std::uint16_t& port = ports[i % shard_count];
+    CO_EXPECT_MSG(port == 0 || port == ep.port,
+                  "E" << id << " asks for port " << ep.port << ", but shard "
+                      << i % shard_count << " binds port " << port
+                      << " for an entity declared before it");
+    port = ep.port;
+  }
+
   // Auto spin policy: busy-polling only pays when every shard can own a
   // core and at least one is left for the producer threads; on smaller
   // machines spinning shards steal the producers' cycles and latency gets
@@ -197,9 +211,16 @@ std::unique_ptr<Host> HostBuilder::build() {
       : (cores >= shard_count + 1 ? kDefaultSpin
                                   : std::chrono::microseconds{0});
   for (std::size_t s = 0; s < shard_count; ++s) {
+    ShardConfig cfg;
+    cfg.socket.bind_loopback(ports[s]);
+    cfg.tracer = tracer_;
+    cfg.send_loss_probability = send_loss_;
+    // entities_[s] is the shard's first entity.
+    cfg.loss_seed = loss_seed_ + static_cast<std::uint64_t>(entities_[s].id);
+    cfg.recv_batch_datagrams = recv_batch_datagrams_;
+    cfg.recv_slot_bytes = recv_slot_bytes_;
     host->shards_.push_back(std::make_unique<Shard>(
-        s, &host->peers_, &host->deliver_, host->epoch_,
-        recv_batch_datagrams_, recv_slot_bytes_));
+        s, std::move(cfg), &host->peers_, &host->deliver_, host->epoch_));
     Shard& shard = *host->shards_.back();
     shard.set_spin(spin);
     if (pin_shards_) {
@@ -213,7 +234,7 @@ std::unique_ptr<Host> HostBuilder::build() {
   }
 
   for (std::size_t i = 0; i < entities_.size(); ++i) {
-    const auto [id, ep] = entities_[i];
+    const EntityId id = entities_[i].id;
     CO_EXPECT_MSG(id >= 0 && static_cast<std::size_t>(id) < proto_.n,
                   "local entity id E" << id << " outside cluster of "
                                       << proto_.n);
@@ -225,18 +246,16 @@ std::unique_ptr<Host> HostBuilder::build() {
     EntityRuntimeConfig cfg;
     cfg.id = id;
     cfg.proto = proto_;
-    cfg.socket.bind_loopback(ep.port);
     cfg.observer = observer_;
     cfg.tracer = tracer_;
-    cfg.send_loss_probability = send_loss_;
-    cfg.loss_seed = loss_seed_ + static_cast<std::uint64_t>(id);
     cfg.submit_queue_capacity = submit_queue_capacity_;
 
     Shard& shard = *host->shards_[i % shard_count];
-    EntityRuntime& rt = shard.add_entity(std::move(cfg));
-    host->by_entity_[static_cast<std::size_t>(id)] = &rt;
-    host->peers_[static_cast<std::size_t>(id)] = rt.socket().local_endpoint();
+    host->by_entity_[static_cast<std::size_t>(id)] =
+        &shard.add_entity(std::move(cfg));
+    host->peers_[static_cast<std::size_t>(id)] = shard.endpoint();
   }
+  host->update_destinations();
   return host;
 }
 

@@ -2,11 +2,16 @@
 //
 // The realtime counterpart of the simulator's CoCluster: one Host owns N
 // shard threads (src/host/shard.h), each driving a slice of the host's
-// local entities with batched socket I/O, while application threads talk
-// to the shards exclusively through lock-free SPSC rings. Entities not
-// hosted here are *peers* — remote processes addressed through the shared
-// endpoint table. The paper's deployment, one entity per workstation, is a
-// Host with one local entity and every other entity declared a peer.
+// local entities, while application threads talk to the shards exclusively
+// through lock-free SPSC rings. The shard is the network endpoint: it binds
+// one UDP socket, sends each frame of its entities' broadcasts once per
+// destination endpoint, and hands a broadcast to the other entities on it
+// in-process. Entities not hosted here are *peers* — remote processes
+// addressed through the shared endpoint table, where a local entity's
+// entry is its shard's endpoint. The paper's deployment, one entity per
+// workstation, is a Host with one local entity and every other entity
+// declared a peer; it puts the same datagrams on the wire as one socket
+// per entity would.
 //
 // Construction is the fluent HostBuilder, with an explicit lifecycle:
 //
@@ -14,9 +19,9 @@
 //
 //   * configured: the builder accumulates entities/peers/options; nothing
 //     has touched the network.
-//   * bound: build() validated the config and bound every local entity's
-//     socket (ephemeral ports resolved, readable via endpoint()); remote
-//     peer endpoints may still be filled in via set_peer().
+//   * bound: build() validated the config and bound one socket per shard
+//     (ephemeral ports resolved, readable via endpoint()); remote peer
+//     endpoints may still be filled in via set_peer().
 //   * running: start() froze the peer table and spawned the shard threads;
 //     set_peer() now throws instead of racing the shards.
 //   * stopped: stop() joined the threads; stats are safe to read.
@@ -29,8 +34,8 @@
 //     entity; the builder-supplied observer runs on shard threads too and
 //     must be thread-safe if entities span shards. It sees every local
 //     entity's protocol records; Record::actor says which entity reported.
-//   * wire_stats()/protocol_stats() are stable after stop(); while running
-//     they are best-effort (counters mutate on shard threads).
+//   * total_wire_stats()/protocol_stats() are stable after stop(); while
+//     running they are best-effort (counters mutate on shard threads).
 #pragma once
 
 #include <atomic>
@@ -64,13 +69,15 @@ class Host {
            by_entity_[static_cast<std::size_t>(id)] != nullptr;
   }
 
-  /// The endpoint table entry for `id` — for local entities this is the
-  /// bound (ephemeral-resolved) address peers should send to.
+  /// The endpoint table entry for `id` — for a local entity this is its
+  /// shard's bound (ephemeral-resolved) address, the one peers send to;
+  /// entities on one shard share it.
   transport::UdpEndpoint endpoint(EntityId id) const;
 
   /// Fill in a remote peer's endpoint. Only legal while bound: once the
   /// host is running the table is owned by the shard threads, and mutating
   /// it would be a data race — that mistake now throws std::logic_error.
+  /// Peers that share an endpoint get one datagram per frame.
   void set_peer(EntityId id, transport::UdpEndpoint ep);
 
   /// bound -> running: freeze the peer table (every entry must have a
@@ -103,8 +110,8 @@ class Host {
   Shard& shard(std::size_t i) { return *shards_[i]; }
   const Shard& shard(std::size_t i) const { return *shards_[i]; }
 
-  /// Wire-level counters of one local entity / summed over all of them.
-  const WireStats& wire_stats(EntityId id) const;
+  /// Wire-level counters summed over every shard (Shard::wire_stats()
+  /// has one shard's).
   WireStats total_wire_stats() const;
 
   /// Protocol counters of one local entity (snapshot; stable after stop).
@@ -119,6 +126,8 @@ class Host {
   Host() = default;
 
   EntityRuntime& runtime(EntityId id) const;
+  /// Re-derive every shard's destination endpoints from peers_.
+  void update_destinations();
 
   std::vector<transport::UdpEndpoint> peers_;  // frozen at start()
   DeliverFn deliver_;
@@ -139,12 +148,14 @@ class Host {
 ///                   .peer(7, remote_ep)   // entity hosted elsewhere
 ///                   .deliver(on_deliver)
 ///                   .tracer(&tracer)
-///                   .build();             // binds sockets -> bound
+///                   .build();             // binds one socket per shard
 ///   host->start();                        // shard threads   -> running
 ///   host->submit(0, bytes);
 ///   host->stop();                         // joined          -> stopped
 ///
-/// Entities default to round-robin shard placement in declaration order.
+/// Entities default to round-robin shard placement in declaration order, so
+/// shard s holds the s-th declared entity and every shard_count()-th one
+/// after it.
 class HostBuilder {
  public:
   /// `n` is the cluster size (all entities, local and remote).
@@ -153,8 +164,10 @@ class HostBuilder {
   /// Replace the whole protocol config (n is preserved from the builder).
   HostBuilder& proto(const proto::CoConfig& config);
   HostBuilder& shards(std::size_t count);
-  /// Declare a local entity bound to `ep` (default: loopback, ephemeral
-  /// port — resolved after build() via Host::endpoint()).
+  /// Declare a local entity. An explicit `ep` (non-zero port) binds the
+  /// entity's shard to it; two different explicit endpoints on one shard
+  /// are a build() error. Default: loopback, ephemeral port — resolved
+  /// after build() via Host::endpoint().
   HostBuilder& entity(EntityId id,
                       transport::UdpEndpoint ep =
                           transport::UdpEndpoint::loopback(0));
@@ -169,8 +182,10 @@ class HostBuilder {
   /// Shared binary event tracer (not owned; one lock-free stream per shard
   /// thread, so the merged snapshot is the cross-shard record).
   HostBuilder& tracer(obs::trace::Tracer* tracer);
-  /// Sender-side loss injection for every local entity; entity i uses
-  /// seed + i so shards stay deterministic per entity.
+  /// Sender-side loss injection: each shard drops whole frames per
+  /// destination endpoint. Shard s draws seed + the id of its first
+  /// entity, so a shard of one entity keeps the seed that entity would
+  /// have alone. In-process delivery within a shard is never lost.
   HostBuilder& send_loss(double probability,
                          std::uint64_t seed = Rng::kDefaultSeed);
   /// Capacity of each entity's SPSC submission ring.

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <ctime>
 #include <limits>
 #include <span>
 #include <system_error>
@@ -22,16 +23,11 @@ namespace co::host {
 
 EntityRuntime::EntityRuntime(EntityRuntimeConfig config, Shard& shard)
     : id_(config.id),
-      n_(config.proto.n),
       shard_(shard),
-      socket_(std::move(config.socket)),
       tracer_(config.tracer),
       observer_(config.observer),
-      submissions_(config.submit_queue_capacity),
-      send_loss_probability_(config.send_loss_probability),
-      loss_rng_(config.loss_seed) {
-  CO_EXPECT(id_ >= 0 && static_cast<std::size_t>(id_) < n_);
-  CO_EXPECT_MSG(socket_.is_open(), "entity socket must be bound");
+      submissions_(config.submit_queue_capacity) {
+  CO_EXPECT(id_ >= 0 && static_cast<std::size_t>(id_) < config.proto.n);
 
   // Unobserved entities keep the core's null observer: no per-record work.
   const bool observed = tracer_ != nullptr || observer_ != nullptr;
@@ -47,7 +43,7 @@ SubmitResult EntityRuntime::submit(std::vector<std::uint8_t> data,
                                    proto::DstMask dst) {
   if (!accepting_.load(std::memory_order_acquire)) return SubmitResult::kStopped;
   if (!submissions_.try_push(Submission{std::move(data), dst})) {
-    ++stats_.submit_rejected;
+    ++submit_rejected_;
     return SubmitResult::kQueueFull;
   }
   // Dekker handshake with the shard (see shard.h): the push is published
@@ -65,7 +61,7 @@ SubmitResult EntityRuntime::submit(std::vector<std::uint8_t> data,
 }
 
 void EntityRuntime::broadcast(const proto::Message& msg) {
-  shard_.broadcast_from(*this, msg);
+  shard_.broadcast_from(id_, msg);
 }
 
 void EntityRuntime::deliver(const proto::CoPdu& pdu) {
@@ -79,166 +75,225 @@ void EntityRuntime::on_event(const proto::Record& r) {
 
 // --- Shard -------------------------------------------------------------------
 
-Shard::Shard(std::size_t index,
+Shard::Shard(std::size_t index, ShardConfig config,
              const std::vector<transport::UdpEndpoint>* peers,
              const DeliverFn* deliver,
-             std::chrono::steady_clock::time_point epoch,
-             std::size_t recv_batch_datagrams, std::size_t recv_slot_bytes)
+             std::chrono::steady_clock::time_point epoch)
     : index_(index),
       peers_(peers),
       deliver_(deliver),
       epoch_(epoch),
-      recv_batch_(recv_batch_datagrams, recv_slot_bytes),
-      frame_budget_(std::min(kMaxFrameBytes, recv_slot_bytes)) {
+      socket_(std::move(config.socket)),
+      tracer_(config.tracer),
+      send_loss_probability_(config.send_loss_probability),
+      loss_rng_(config.loss_seed),
+      recv_batch_(config.recv_batch_datagrams, config.recv_slot_bytes),
+      frame_budget_(std::min(kMaxFrameBytes, config.recv_slot_bytes)) {
   CO_EXPECT(peers_ != nullptr);
-  // Slot 0 is the doorbell; entity sockets follow at i + 1.
-  pollfds_.push_back(pollfd{wakeup_.fd(), POLLIN, 0});
+  CO_EXPECT_MSG(socket_.is_open(), "shard socket must be bound");
+  endpoint_ = socket_.local_endpoint();
+  pollfds_[0] = pollfd{wakeup_.fd(), POLLIN, 0};
+  pollfds_[1] = pollfd{socket_.fd(), POLLIN, 0};
 }
 
 EntityRuntime& Shard::add_entity(EntityRuntimeConfig config) {
   entities_.push_back(std::make_unique<EntityRuntime>(std::move(config),
                                                       *this));
-  pollfds_.push_back(pollfd{entities_.back()->socket_.fd(), POLLIN, 0});
   return *entities_.back();
 }
 
-void Shard::broadcast_from(EntityRuntime& e, const proto::Message& msg) {
-  // The own copy loops back in-process (drained by pump_self after the
-  // current step): the kernel may drop a self-datagram under load and an
-  // entity cannot request retransmission from itself.
-  e.self_loop_.push_back(msg);
-  const std::size_t held = e.frame_.size();
-  proto::encode_append(msg, e.frame_);
-  if (held != 0 && e.frame_.size() > frame_budget_) {
+WireStats Shard::wire_stats() const {
+  WireStats s = stats_;
+  for (const auto& e : entities_) s.submit_rejected += e->submit_rejected();
+  return s;
+}
+
+void Shard::update_destinations() {
+  dests_.clear();
+  for (const transport::UdpEndpoint& ep : *peers_) {
+    // Port 0 is a peer not declared yet; our own endpoint is served
+    // in-process.
+    if (ep.port == 0 || ep == endpoint_) continue;
+    if (std::find(dests_.begin(), dests_.end(), ep) == dests_.end())
+      dests_.push_back(ep);
+  }
+}
+
+void Shard::broadcast_from(EntityId from, const proto::Message& msg) {
+  local_.push_back(proto::MessageArrived{from, msg});
+  if (dests_.empty()) return;  // every entity is here: nothing to pack
+  const std::size_t held = frame_.size();
+  proto::encode_append(msg, frame_);
+  if (held != 0 && frame_.size() > frame_budget_) {
     // Over budget: ship the frame as it stood and let this message open
     // the next one.
-    send_frame(e, held, e.frame_msgs_);
-    e.frame_.erase(e.frame_.begin(),
-                   e.frame_.begin() + static_cast<std::ptrdiff_t>(held));
-    e.frame_msgs_ = 0;
+    send_frame(held, frame_msgs_);
+    frame_.erase(frame_.begin(),
+                 frame_.begin() + static_cast<std::ptrdiff_t>(held));
+    frame_msgs_ = 0;
   }
-  ++e.frame_msgs_;
+  ++frame_msgs_;
 }
 
-void Shard::flush(EntityRuntime& e) {
-  if (e.frame_msgs_ == 0) return;
-  send_frame(e, e.frame_.size(), e.frame_msgs_);
-  e.frame_.clear();
-  e.frame_msgs_ = 0;
+void Shard::flush() {
+  if (frame_msgs_ == 0) return;
+  send_frame(frame_.size(), frame_msgs_);
+  frame_.clear();
+  frame_msgs_ = 0;
 }
 
-void Shard::send_frame(EntityRuntime& e, std::size_t bytes,
-                       std::uint32_t msgs) {
-  const std::span<const std::uint8_t> frame(e.frame_.data(), bytes);
-  if (e.tracer_ != nullptr)
-    e.tracer_->emit(obs::trace::EventId::kWireTx, pass_now_, e.id_,
-                    kNoEntity, msgs, static_cast<std::uint32_t>(bytes));
+void Shard::send_frame(std::size_t bytes, std::uint32_t msgs) {
+  const std::span<const std::uint8_t> frame(frame_.data(), bytes);
+  if (tracer_ != nullptr)
+    tracer_->emit(obs::trace::EventId::kWireTx, pass_now_, kNoEntity,
+                  kNoEntity, msgs, static_cast<std::uint32_t>(bytes));
   tx_scratch_.clear();
-  const auto& peers = *peers_;
-  for (std::size_t i = 0; i < peers.size(); ++i) {
-    if (static_cast<EntityId>(i) == e.id_) continue;  // looped back instead
-    if (e.send_loss_probability_ > 0.0 &&
-        e.loss_rng_.next_bool(e.send_loss_probability_)) {
-      ++e.stats_.datagrams_dropped_injected;
+  for (const transport::UdpEndpoint& to : dests_) {
+    if (send_loss_probability_ > 0.0 &&
+        loss_rng_.next_bool(send_loss_probability_)) {
+      ++stats_.datagrams_dropped_injected;
       continue;
     }
-    tx_scratch_.push_back(transport::TxDatagram{peers[i], frame});
+    tx_scratch_.push_back(transport::TxDatagram{to, frame});
   }
-  const transport::TxResult r = e.socket_.send_many(tx_scratch_);
-  e.stats_.datagrams_sent += r.sent;
-  e.stats_.send_buffer_drops += r.dropped;
+  const transport::TxResult r = socket_.send_many(tx_scratch_);
+  stats_.datagrams_sent += r.sent;
+  stats_.send_buffer_drops += r.dropped;
 }
 
 void Shard::deliver_from(EntityRuntime& e, const proto::CoPdu& pdu) {
   if (deliver_ != nullptr && *deliver_) (*deliver_)(e.id_, pdu.src, pdu.data);
 }
 
-void Shard::pump_self(EntityRuntime& e, time::Tick now) {
-  // A pumped PDU may trigger further broadcasts (e.g. a confirmation) whose
-  // own copies queue up again; loop until the cascade settles. The cascade
-  // is bounded by the protocol: receiving one's own ctrl PDU only updates
-  // knowledge tables.
-  while (!e.self_loop_.empty()) {
-    e.arrivals_.clear();
-    for (proto::Message& msg : e.self_loop_)
-      e.arrivals_.push_back(proto::MessageArrived{e.id_, std::move(msg)});
-    e.self_loop_.clear();
-    e.driver_->on_messages(e.arrivals_, now);
+void Shard::step_all(const std::vector<proto::MessageArrived>& arrivals,
+                     time::Tick now) {
+  // Each entity steps on its own copy (PduRef refcount bumps): the driver
+  // consumes what it is given, and the broadcasts a step triggers land in
+  // local_, never in `arrivals`.
+  for (auto& e : entities_) {
+    e->arrivals_.assign(arrivals.begin(), arrivals.end());
+    e->driver_->on_messages(e->arrivals_, now);
+  }
+}
+
+void Shard::pump_local(time::Tick now) {
+  // A pumped message may trigger further broadcasts (e.g. a confirmation)
+  // whose copies queue up again; loop until the cascade settles. The
+  // protocol bounds it: a confirmation is sent on the spot only after
+  // hearing from every other entity since the last send, and the entities
+  // of other shards do not take part in a pump.
+  while (!local_.empty()) {
+    local_batch_.swap(local_);
+    step_all(local_batch_, now);
+    local_batch_.clear();
   }
 }
 
 bool Shard::drain_submissions(EntityRuntime& e, time::Tick now) {
+  // At most one ring's worth per pass: a producer that refills the ring as
+  // fast as the shard empties it must not hold the loop here forever.
   bool any = false;
   EntityRuntime::Submission s;
-  while (e.submissions_.try_pop(s)) {
+  for (std::size_t left = e.submissions_.capacity();
+       left != 0 && e.submissions_.try_pop(s); --left) {
     e.driver_->submit(std::move(s.data), s.dst, now);
     any = true;
   }
-  if (any) pump_self(e, now);
   return any;
 }
 
-bool Shard::ingest_socket(EntityRuntime& e, time::Tick now) {
+bool Shard::ingest_socket(time::Tick now) {
+  const auto& peers = *peers_;
   bool any = false;
   for (;;) {
-    const std::size_t got = e.socket_.receive_many(recv_batch_);
+    const std::size_t got = socket_.receive_many(recv_batch_);
     if (got == 0) break;
     any = true;
-    e.stats_.datagrams_received += got;
-    e.arrivals_.clear();
+    stats_.datagrams_received += got;
+    rx_.clear();
     for (std::size_t i = 0; i < got; ++i) {
       const auto payload = recv_batch_.payload(i);
-      if (e.tracer_ != nullptr)
-        e.tracer_->emit(obs::trace::EventId::kWireRx, now, e.id_, kNoEntity,
-                        obs::trace::kSeqNone,
-                        static_cast<std::uint32_t>(payload.size()));
+      if (tracer_ != nullptr)
+        tracer_->emit(obs::trace::EventId::kWireRx, now, kNoEntity,
+                      kNoEntity, obs::trace::kSeqNone,
+                      static_cast<std::uint32_t>(payload.size()));
       if (recv_batch_.truncated(i)) {
         // Larger than a receive slot: the tail is gone, the decode below
         // would fail anyway — treat as loss, like any mangled datagram.
-        ++e.stats_.truncated_datagrams;
-        ++e.stats_.decode_errors;
+        ++stats_.truncated_datagrams;
+        ++stats_.decode_errors;
         continue;
       }
       rx_frame_.clear();
       if (!proto::try_decode_frame(payload, rx_frame_)) {
         // Garbage anywhere in the datagram (UDP gives no guarantees): the
         // whole frame is one loss, which the protocol recovers from.
-        ++e.stats_.decode_errors;
+        ++stats_.decode_errors;
         continue;
       }
+      const transport::UdpEndpoint from = recv_batch_.from(i);
       for (proto::Message& msg : rx_frame_) {
         const EntityId src = std::holds_alternative<proto::PduRef>(msg)
                                  ? std::get<proto::PduRef>(msg)->src
                                  : std::get<proto::RetPdu>(msg).src;
-        if (src < 0 || static_cast<std::size_t>(src) >= e.n_) {
-          ++e.stats_.decode_errors;
+        if (src < 0 || static_cast<std::size_t>(src) >= peers.size()) {
+          ++stats_.decode_errors;
           continue;
         }
-        e.arrivals_.push_back(proto::MessageArrived{src, std::move(msg)});
+        // Bind the source: this shard's own entities never reach it over
+        // the socket, and every other src speaks from its table endpoint.
+        const transport::UdpEndpoint& claimed =
+            peers[static_cast<std::size_t>(src)];
+        if (claimed == endpoint_ || claimed != from) {
+          ++stats_.forged_src_drops;
+          continue;
+        }
+        rx_.push_back(proto::MessageArrived{src, std::move(msg)});
       }
     }
-    if (!e.arrivals_.empty()) {
-      e.driver_->on_messages(e.arrivals_, now);
-      pump_self(e, now);
+    if (!rx_.empty()) {
+      step_all(rx_, now);
+      pump_local(now);
     }
     if (got < recv_batch_.capacity()) break;  // queue drained
   }
-  flush(e);
+  flush();
   return any;
 }
 
-int clamped_poll_wait_ms(std::int64_t cap_ms, time::Tick now,
-                         std::optional<time::Deadline> earliest) {
-  std::int64_t wait = std::max<std::int64_t>(cap_ms, 0);
-  if (earliest) {
-    const time::Tick until = *earliest > now ? *earliest - now : 0;
-    // Round up: the timer must be due when the sleep ends. 64-bit all the
-    // way — a deadline days out used to wrap an int cast negative here.
-    wait = std::min(wait, until / time::kMillisecond + 1);
-  }
-  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
-  return static_cast<int>(std::min(wait, kIntMax));
+std::int64_t clamped_poll_wait_ns(std::int64_t cap_ms, time::Tick now,
+                                  std::optional<time::Deadline> earliest) {
+  // 64-bit and saturating all the way: a huge cap or a deadline days out
+  // must never wrap negative.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t cap = std::max<std::int64_t>(cap_ms, 0);
+  std::int64_t wait =
+      cap > kMax / time::kMillisecond ? kMax : cap * time::kMillisecond;
+  if (earliest) wait = std::min(wait, *earliest > now ? *earliest - now : 0);
+  return wait;
 }
+
+namespace {
+
+/// Wait on `fds` for at most `wait_ns` nanoseconds: ppoll(2) on Linux.
+int poll_for(std::array<pollfd, 2>& fds, std::int64_t wait_ns) {
+#if defined(__linux__)
+  timespec ts{};
+  ts.tv_sec = static_cast<time_t>(wait_ns / time::kSecond);
+  ts.tv_nsec = static_cast<long>(wait_ns % time::kSecond);
+  return ::ppoll(fds.data(), fds.size(), &ts, nullptr);
+#else
+  // poll(2) counts whole milliseconds: round up so the timer is due on
+  // wake.
+  const std::int64_t ms =
+      wait_ns / time::kMillisecond + (wait_ns % time::kMillisecond != 0);
+  return ::poll(fds.data(), fds.size(),
+                static_cast<int>(std::min<std::int64_t>(
+                    ms, std::numeric_limits<int>::max())));
+#endif
+}
+
+}  // namespace
 
 bool Shard::poll_once(std::chrono::milliseconds max_wait) {
   bool activity = false;
@@ -247,11 +302,10 @@ bool Shard::poll_once(std::chrono::milliseconds max_wait) {
   pass_now_ = now;
   for (auto& e : entities_) {
     activity |= drain_submissions(*e, now);
-    const bool fired = e->driver_->run_timers(now) > 0;
-    if (fired) pump_self(*e, now);
-    activity |= fired;
-    flush(*e);
+    activity |= e->driver_->run_timers(now) > 0;
   }
+  pump_local(now);
+  flush();
   if (activity) last_activity_ = now;
 
   // Wait for datagrams or a doorbell ring, no longer than the earliest
@@ -263,10 +317,10 @@ bool Shard::poll_once(std::chrono::milliseconds max_wait) {
     if (const auto next = e->driver_->next_deadline())
       if (!earliest || *next < *earliest) earliest = *next;
   const bool hot = spin_ns_ > 0 && now - last_activity_ < spin_ns_;
-  int wait_ms = hot ? 0 : clamped_poll_wait_ms(max_wait.count(), now,
-                                               earliest);
+  std::int64_t wait_ns =
+      hot ? 0 : clamped_poll_wait_ns(max_wait.count(), now, earliest);
 
-  if (wait_ms != 0) {
+  if (wait_ns != 0) {
     // Committing to sleep: publish the intent, then recheck every ring
     // behind a seq_cst fence (the Dekker pairing with submit() — a push
     // we miss here guarantees its producer sees sleeping_ and rings the
@@ -275,15 +329,14 @@ bool Shard::poll_once(std::chrono::milliseconds max_wait) {
     std::atomic_thread_fence(std::memory_order_seq_cst);
     for (const auto& e : entities_) {
       if (!e->submissions_.empty_approx()) {
-        wait_ms = 0;
+        wait_ns = 0;
         break;
       }
     }
   }
 
   for (pollfd& p : pollfds_) p.revents = 0;
-  const int r = ::poll(pollfds_.data(),
-                       static_cast<nfds_t>(pollfds_.size()), wait_ms);
+  const int r = poll_for(pollfds_, wait_ns);
   sleeping_.store(false, std::memory_order_relaxed);
   if (r < 0 && errno != EINTR)
     throw std::system_error(errno, std::generic_category(), "poll");
@@ -297,9 +350,7 @@ bool Shard::poll_once(std::chrono::milliseconds max_wait) {
       wakeup_.drain();
       activity = true;
     }
-    for (std::size_t i = 0; i < entities_.size(); ++i)
-      if (pollfds_[i + 1].revents & POLLIN)
-        activity |= ingest_socket(*entities_[i], now);
+    if (pollfds_[1].revents & POLLIN) activity |= ingest_socket(now);
     if (activity) last_activity_ = now;
   }
 
@@ -327,10 +378,9 @@ void Shard::close_and_drain() {
   std::atomic_thread_fence(std::memory_order_seq_cst);
   const time::Tick now = wall_now();
   pass_now_ = now;
-  for (auto& e : entities_) {
-    drain_submissions(*e, now);
-    flush(*e);
-  }
+  for (auto& e : entities_) drain_submissions(*e, now);
+  pump_local(now);
+  flush();
 }
 
 void Shard::apply_affinity() const {

@@ -1,42 +1,59 @@
-// Shard — one host thread driving a slice of CO entities over real UDP.
+// Shard — one host thread driving a slice of CO entities over one UDP socket.
 //
 // The sharded host runtime (src/host/host.h) splits its local entities
-// across N shards; each shard owns its entities outright — their sans-io
-// CoCore, the RealtimeDriver + TimerWheel animating it, the entity's bound
-// UDP socket, and the SPSC submission ring application threads feed — so
-// the shard's event loop touches no shared mutable state and takes no lock:
+// across N shards. A shard owns its entities outright — their sans-io
+// CoCore, the RealtimeDriver + TimerWheel animating each, and the SPSC
+// submission ring application threads feed — and it is the network
+// endpoint: it binds ONE UDP socket that all its entities send and receive
+// through. The shard's event loop touches no shared mutable state and takes
+// no lock:
 //
-//   app thread --SpscRing--> [shard thread, per entity:
-//                               drain ring -> timers -> flush frame]
-//                            -> poll(2) ->
-//                            [per readable entity: recvmmsg -> unpack
-//                               frames -> ONE core step -> flush frame]
+//   app thread --SpscRing--> [shard thread: per entity: drain ring ->
+//                               timers; pump local copies; flush frame]
+//                            -> ppoll(2) ->
+//                            [recvmmsg -> decode each datagram once ->
+//                               ONE core step per entity; pump local
+//                               copies; flush frame]
 //
 //   a frame: | msg 1 | msg 2 | ... | msg k |   (k >= 1, <= frame budget)
-//            one datagram per peer, each msg a plain proto::encode image
+//            the broadcasts of every entity on the shard, in the order
+//            they were emitted, each a plain proto::encode image; one
+//            datagram per destination endpoint
 //
-// Socket I/O is batched end to end. Outbound, an entity's broadcasts do
-// not leave one by one: each is appended to the entity's frame buffer, and
-// the frame goes to every peer as one sendmmsg burst as soon as the
-// entity's work in the current phase is done — after its ring drain and
-// timers, after its socket ingest, and in the shutdown drain — so a frame
-// never waits across poll(2) or on another entity. A frame holds at most
-// min(kMaxFrameBytes, the RecvBatch slot size) bytes; a message that would
-// overflow it ships the frame first and opens the next, and a message
-// larger than the budget on its own goes out alone. Inbound, arrivals are
-// drained with recvmmsg into a reused RecvBatch, each datagram is unpacked
-// all-or-nothing into its messages, and the whole burst enters the core as
-// ONE step (the receipt-pipeline amortization). An entity's own copy of a
-// broadcast never touches the codec: it loops back in-process as the
-// proto::Message itself (a PduRef refcount bump). Deliveries invoke the
-// host's callback on the shard thread. Before the host starts its shard
-// threads, a caller may also drive a shard on its own thread via
-// poll_once() (Host::shard()).
+// Local delivery. A broadcast reaches the entities of its own shard, its
+// sender included, in-process as the proto::Message itself (a PduRef
+// refcount bump): it is queued once, in emission order, and every entity
+// on the shard takes the queue as one step, again and again until the
+// cascade of broadcasts those steps trigger settles. The path is lossless
+// and never touches the codec or the socket.
+//
+// The wire. The same broadcasts are appended, in emission order, to the
+// shard's one frame, and a frame goes once to each destination endpoint:
+// every other shard of this host and every distinct remote endpoint (peers
+// that share an endpoint share the datagram). A frame is flushed when a
+// phase of the loop is done — after the ring-drain and timer loop over the
+// entities, after the socket ingest, and in the shutdown drain — so it
+// never waits across ppoll(2). A frame holds at most min(kMaxFrameBytes,
+// the RecvBatch slot size) bytes; a message that would overflow it ships
+// the frame first and opens the next, and a message larger than the budget
+// on its own goes out alone. One frame in emission order is what keeps a
+// confirmation behind the PDU it confirms: an entity that accepts p
+// in-process and confirms it emits the confirmation after p, so the two
+// leave this socket in that order (on a host of two shards, no entity can
+// see a confirmation of p before p). Inbound, arrivals are drained with
+// recvmmsg into a reused RecvBatch, each datagram is decoded once, all or
+// nothing, and every entity takes the whole burst as ONE step (the
+// receipt-pipeline amortization). A message is dropped at this edge if its
+// src is an entity of this shard or if the datagram did not come from
+// src's endpoint in the peer table. Deliveries invoke the host's callback
+// on the shard thread.
+// Before the host starts its shard threads, a caller may also drive a
+// shard on its own thread via poll_once() (Host::shard()).
 //
 // The loop is event-driven, never tick-paced. A shard sleeps only in
-// poll(2), and three things wake it: a readable entity socket, a due timer
-// (the poll timeout is clamped to the earliest pending deadline), or the
-// shard's Wakeup doorbell (src/host/wakeup.h — eventfd, self-pipe off
+// ppoll(2), and three things wake it: a readable socket, a due timer (the
+// timeout is the exact nanoseconds to the earliest pending deadline), or
+// the shard's Wakeup doorbell (src/host/wakeup.h — eventfd, self-pipe off
 // Linux), which producers ring when they push into a ring the shard might
 // be sleeping past and which Host::stop()/Shard::wake() ring to interrupt
 // an idle sleep. Losing a wakeup is ruled out by a Dekker-style handshake:
@@ -57,6 +74,7 @@
 
 #include <poll.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -93,9 +111,10 @@ inline const char* to_string(SubmitResult r) {
   return "?";
 }
 
-/// Wire-level counters one entity accumulates. Written by the owning shard
-/// thread — except submit_rejected, which the producer side increments —
-/// so read them after stop() or from the shard thread itself.
+/// Wire-level counters of one shard's socket, plus the submissions its
+/// entities' rings rejected. The socket counters are written by the shard
+/// thread and submit_rejected by the producers, so read them after stop()
+/// or from the shard thread itself.
 struct WireStats {
   std::uint64_t datagrams_sent = 0;
   std::uint64_t datagrams_received = 0;
@@ -103,7 +122,11 @@ struct WireStats {
   std::uint64_t send_buffer_drops = 0;  // kernel said EWOULDBLOCK
   std::uint64_t decode_errors = 0;
   std::uint64_t truncated_datagrams = 0;  // larger than a RecvBatch slot
-  std::uint64_t submit_rejected = 0;      // bounded submission ring was full
+  // Decoded messages dropped because their src is an entity of the
+  // receiving shard, or because the datagram's UDP source is not src's
+  // endpoint in the peer table.
+  std::uint64_t forged_src_drops = 0;
+  std::uint64_t submit_rejected = 0;  // bounded submission ring was full
 
   WireStats& operator+=(const WireStats& o) {
     datagrams_sent += o.datagrams_sent;
@@ -112,6 +135,7 @@ struct WireStats {
     send_buffer_drops += o.send_buffer_drops;
     decode_errors += o.decode_errors;
     truncated_datagrams += o.truncated_datagrams;
+    forged_src_drops += o.forged_src_drops;
     submit_rejected += o.submit_rejected;
     return *this;
   }
@@ -139,15 +163,16 @@ inline constexpr std::chrono::milliseconds kIdlePollCap{500};
 /// same config never truncates one.
 inline constexpr std::size_t kMaxFrameBytes = 1472;
 
-/// The poll(2) timeout for an event loop that wants to sleep at most
-/// `cap_ms` but no longer than until `earliest` (the next timer deadline,
-/// if any; `now` in the same clock domain). All arithmetic is 64-bit and
-/// the result is clamped to [0, INT_MAX]: the regression this guards
-/// against was a far-future deadline (> INT_MAX ms away) wrapping the
-/// narrowing Tick -> int cast negative, which poll() clamps to 0 — turning
-/// an idle loop into a 100%-CPU busy spin.
-int clamped_poll_wait_ms(std::int64_t cap_ms, time::Tick now,
-                         std::optional<time::Deadline> earliest);
+/// The ppoll(2) timeout, in nanoseconds, for an event loop that wants to
+/// sleep at most `cap_ms` but no longer than until `earliest` (the next
+/// timer deadline, if any; `now` in the same clock domain). Exact: a due
+/// or past-due deadline waits 0 and one 300 us out waits 300 us. All
+/// arithmetic is 64-bit and saturating, so the result is never negative:
+/// the regression this guards against was a far-future deadline wrapping
+/// a narrowing Tick -> int cast negative, which poll() clamps to 0 —
+/// turning an idle loop into a 100%-CPU busy spin.
+std::int64_t clamped_poll_wait_ns(std::int64_t cap_ms, time::Tick now,
+                                  std::optional<time::Deadline> earliest);
 
 /// Default capacity of an entity's SPSC submission ring.
 inline constexpr std::size_t kDefaultSubmitQueueCapacity = 1024;
@@ -156,25 +181,34 @@ inline constexpr std::size_t kDefaultSubmitQueueCapacity = 1024;
 struct EntityRuntimeConfig {
   EntityId id = kNoEntity;
   proto::CoConfig proto;
-  transport::UdpSocket socket;  // already bound
   /// Shared user observer (nullable; callbacks run on the shard thread, so
   /// an observer shared across shards must be thread-safe).
   proto::CoObserver* observer = nullptr;
   /// Shared binary event tracer (nullable; per-thread streams make sharing
   /// across shards free).
   obs::trace::Tracer* tracer = nullptr;
-  /// Test hook: drop outgoing datagrams (to peers other than self) with
-  /// this probability — loopback UDP practically never loses packets. The
-  /// unit of loss is a whole frame to one peer.
-  double send_loss_probability = 0.0;
-  std::uint64_t loss_seed = Rng::kDefaultSeed;
   /// Capacity of the SPSC submission ring (rounded up to a power of two).
   std::size_t submit_queue_capacity = kDefaultSubmitQueueCapacity;
 };
 
+/// Everything one shard needs, assembled by HostBuilder.
+struct ShardConfig {
+  transport::UdpSocket socket;  // already bound: the shard's endpoint
+  /// Shared binary event tracer for the wire records (nullable).
+  obs::trace::Tracer* tracer = nullptr;
+  /// Test hook: drop outgoing datagrams with this probability — loopback
+  /// UDP practically never loses packets. The unit of loss is a whole
+  /// frame to one destination endpoint; in-process copies are never lost.
+  double send_loss_probability = 0.0;
+  std::uint64_t loss_seed = Rng::kDefaultSeed;
+  /// Receive batching: datagrams per recvmmsg burst / bytes per slot.
+  std::size_t recv_batch_datagrams = 32;
+  std::size_t recv_slot_bytes = 2048;
+};
+
 class Shard;
 
-/// One local entity, owned by its shard: core + driver + socket + queues.
+/// One local entity, owned by its shard: core + driver + submission ring.
 /// Everything except submit() runs on the shard thread. The runtime is its
 /// core's observer while a tracer or an observer is attached: each record
 /// goes to the shard's Tracer stream, then to the shared observer.
@@ -187,9 +221,9 @@ class EntityRuntime final : private driver::RealtimeEnv,
   EntityRuntime& operator=(const EntityRuntime&) = delete;
 
   EntityId id() const { return id_; }
-  transport::UdpSocket& socket() { return socket_; }
-  const WireStats& wire_stats() const { return stats_; }
   const proto::CoCore& core() const { return *core_; }
+  /// Submissions this entity's full ring refused (kQueueFull).
+  std::uint64_t submit_rejected() const { return submit_rejected_; }
 
   /// Producer side of the submission ring. Contract: ONE producer thread
   /// per entity at a time (the Host documents this). Never blocks; a full
@@ -227,9 +261,7 @@ class EntityRuntime final : private driver::RealtimeEnv,
   };
 
   EntityId id_;
-  std::size_t n_;
   Shard& shard_;
-  transport::UdpSocket socket_;
   obs::trace::Tracer* tracer_;
   proto::CoObserver* observer_;
   std::unique_ptr<proto::CoCore> core_;
@@ -238,23 +270,9 @@ class EntityRuntime final : private driver::RealtimeEnv,
   // Cleared by the shard's shutdown drain: producers that observe it false
   // get kStopped instead of pushing into a ring nobody will ever pop.
   std::atomic<bool> accepting_{true};
-  double send_loss_probability_;
-  Rng loss_rng_;
-  WireStats stats_;
-  // Reused scratch: decoded arrivals of the current socket burst.
+  std::uint64_t submit_rejected_ = 0;  // producer side
+  // Reused scratch: this entity's copy of the arrivals of one step.
   std::vector<proto::MessageArrived> arrivals_;
-  // Own broadcasts looped back in-process as the messages themselves
-  // (filled during an effect replay, drained by Shard::pump_self right
-  // after the step). The entity's own PDUs must NOT ride the UDP socket:
-  // the kernel may drop a self-datagram under load, and an entity cannot
-  // RET itself — report_loss(self) is a protocol invariant violation, not
-  // a recoverable loss.
-  std::vector<proto::Message> self_loop_;
-  // The frame being packed: the encodings of this entity's broadcasts of
-  // the current phase, back to back, and how many there are. Shard::flush
-  // ships it to every peer.
-  std::vector<std::uint8_t> frame_;
-  std::uint32_t frame_msgs_ = 0;
 };
 
 class Shard {
@@ -263,16 +281,19 @@ class Shard {
   /// every shard of the host, frozen before the shard first polls) and
   /// `epoch` the host-wide clock origin, so ticks are comparable across
   /// shards. `deliver` may be null (deliveries are then dropped).
-  Shard(std::size_t index, const std::vector<transport::UdpEndpoint>* peers,
+  Shard(std::size_t index, ShardConfig config,
+        const std::vector<transport::UdpEndpoint>* peers,
         const DeliverFn* deliver,
-        std::chrono::steady_clock::time_point epoch,
-        std::size_t recv_batch_datagrams = 32,
-        std::size_t recv_slot_bytes = 2048);
+        std::chrono::steady_clock::time_point epoch);
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
 
   std::size_t index() const { return index_; }
+
+  /// The bound address of the shard's socket: the endpoint of every entity
+  /// on the shard.
+  transport::UdpEndpoint endpoint() const { return endpoint_; }
 
   /// Construct an entity on this shard (setup phase, before polling).
   EntityRuntime& add_entity(EntityRuntimeConfig config);
@@ -280,6 +301,10 @@ class Shard {
   std::size_t entity_count() const { return entities_.size(); }
   EntityRuntime& entity(std::size_t i) { return *entities_[i]; }
   const EntityRuntime& entity(std::size_t i) const { return *entities_[i]; }
+
+  /// The socket's counters plus the submissions the entities' rings
+  /// rejected.
+  WireStats wire_stats() const;
 
   /// One event-loop iteration on the CALLER's thread: drain submission
   /// rings, fire due timers, then wait for datagrams or a doorbell ring
@@ -301,7 +326,7 @@ class Shard {
 
   /// Busy-poll window: after any event, the loop polls with a zero
   /// timeout until `window` has passed without activity, then goes back
-  /// to sleeping in poll(2). Zero disables spinning (sleep immediately).
+  /// to sleeping in ppoll(2). Zero disables spinning (sleep immediately).
   /// Call before the shard thread starts.
   void set_spin(std::chrono::microseconds window) {
     spin_ns_ = std::chrono::duration_cast<std::chrono::nanoseconds>(window)
@@ -329,20 +354,30 @@ class Shard {
 
  private:
   friend class EntityRuntime;
+  friend class Host;
 
-  /// Loop the own copy back and append the message to e's frame, shipping
-  /// the frame first if the message would overflow the budget.
-  void broadcast_from(EntityRuntime& e, const proto::Message& msg);
-  /// Ship e's frame (if it holds anything) and start an empty one.
-  void flush(EntityRuntime& e);
-  /// Send the first `bytes` of e's frame, `msgs` messages, to every peer.
-  void send_frame(EntityRuntime& e, std::size_t bytes, std::uint32_t msgs);
+  /// Recompute the destination endpoints from the peer table: every
+  /// distinct known endpoint except this shard's own. The Host calls it
+  /// whenever the table changes, which it may only do while bound.
+  void update_destinations();
+  /// Queue the in-process copy of `from`'s broadcast and append the
+  /// message to the frame, shipping the frame first if the message would
+  /// overflow the budget.
+  void broadcast_from(EntityId from, const proto::Message& msg);
+  /// Ship the frame (if it holds anything) and start an empty one.
+  void flush();
+  /// Send the first `bytes` of the frame, `msgs` messages, once to every
+  /// destination endpoint.
+  void send_frame(std::size_t bytes, std::uint32_t msgs);
   void deliver_from(EntityRuntime& e, const proto::CoPdu& pdu);
   bool drain_submissions(EntityRuntime& e, time::Tick now);
-  bool ingest_socket(EntityRuntime& e, time::Tick now);
-  /// Feed queued self-broadcasts back into the core (lossless in-process
-  /// loopback; loops until the cascade of triggered broadcasts settles).
-  void pump_self(EntityRuntime& e, time::Tick now);
+  bool ingest_socket(time::Tick now);
+  /// Every entity on the shard takes `arrivals` as one step.
+  void step_all(const std::vector<proto::MessageArrived>& arrivals,
+                time::Tick now);
+  /// Feed the queued in-process copies to every entity on the shard
+  /// (lossless; loops until the cascade of triggered broadcasts settles).
+  void pump_local(time::Tick now);
   /// Shutdown: refuse further submits, then drain what was accepted.
   void close_and_drain();
   /// Apply the set_cpu() pin to the calling thread (best effort).
@@ -352,14 +387,36 @@ class Shard {
   const std::vector<transport::UdpEndpoint>* peers_;
   const DeliverFn* deliver_;
   std::chrono::steady_clock::time_point epoch_;
+  transport::UdpSocket socket_;
+  transport::UdpEndpoint endpoint_;
+  obs::trace::Tracer* tracer_;
+  double send_loss_probability_;
+  Rng loss_rng_;
+  WireStats stats_;  // socket counters; submit_rejected stays per entity
   std::vector<std::unique_ptr<EntityRuntime>> entities_;
-  // pollfds_[0] is the wakeup doorbell; entity i's socket is at i + 1.
-  std::vector<pollfd> pollfds_;
+  // Where a frame goes: each distinct endpoint of the peer table except
+  // endpoint_, in order of first appearance.
+  std::vector<transport::UdpEndpoint> dests_;
+  // pollfds_[0] is the wakeup doorbell, pollfds_[1] the socket.
+  std::array<pollfd, 2> pollfds_{};
   transport::RecvBatch recv_batch_;
   // min(kMaxFrameBytes, the RecvBatch slot size).
   std::size_t frame_budget_;
-  // Reused scratch: the messages of one arriving datagram.
+  // The frame being packed: the encodings of the shard's broadcasts of
+  // the current phase, back to back, and how many there are.
+  std::vector<std::uint8_t> frame_;
+  std::uint32_t frame_msgs_ = 0;
+  // The shard's broadcasts not yet fed to its entities, in emission order
+  // (filled during effect replays, drained by pump_local). They never ride
+  // the socket: the kernel may drop a datagram under load, and an entity
+  // cannot RET itself — report_loss(self) is a protocol invariant
+  // violation, not a recoverable loss.
+  std::vector<proto::MessageArrived> local_;
+  std::vector<proto::MessageArrived> local_batch_;  // the round being fed
+  // Reused scratch: the messages of one arriving datagram, and the
+  // accepted messages of one receive burst.
   std::vector<proto::Message> rx_frame_;
+  std::vector<proto::MessageArrived> rx_;
   std::vector<transport::TxDatagram> tx_scratch_;
   // The loop pass's clock reading (restamped after a poll that returned
   // events): stamps the wire_tx record of every frame sent in the pass.

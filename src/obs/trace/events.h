@@ -33,8 +33,8 @@ enum class EventId : std::uint16_t {
   kTimerCancel = 17,  // arg = TimerId
   kTimerFire = 18,    // arg = TimerId
   kSubmit = 19,       // application DT request; arg = payload bytes
-  kWireTx = 20,       // frame out, one datagram to each peer; arg = frame
-                      // bytes, seq = messages in the frame
+  kWireTx = 20,       // frame out, one datagram to each destination
+                      // endpoint; arg = frame bytes, seq = messages
   kWireRx = 21,       // datagram in;  arg = bytes, origin = channel peer
   kViolation = 22,    // oracle/invariant failure; flight recorder trigger
 };

@@ -1,18 +1,22 @@
 // Integration tests for the sharded host runtime (src/host): many CO
 // entities in one process, split across shard threads, real loopback UDP
-// between them, loss injected at the sender. Delivery logs are checked
-// against the happened-before oracle the simulator and the single-entity
-// host tests (udp_transport_test) use, and the shared Tracer must end up
-// with one stream per shard thread.
+// between the shards (one socket each) and in-process delivery within one,
+// loss injected at the sender. Delivery logs are checked against the
+// happened-before oracle the simulator and the single-entity host tests
+// (udp_transport_test) use, and the shared Tracer must end up with one
+// stream per shard thread.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <climits>
+#include <filesystem>
 #include <iostream>
 #include <set>
+#include <string>
 #include <thread>
 
+#include "src/co/wire.h"
 #include "src/host/host.h"
 #include "src/obs/trace/tracer.h"
 #include "tests/co_service_oracle.h"
@@ -26,10 +30,11 @@ using namespace std::chrono_literals;
 class HostHarness {
  public:
   HostHarness(std::size_t n, std::size_t shards, double send_loss,
-              obs::trace::Tracer* tracer, std::size_t recv_slot_bytes = 2048)
+              obs::trace::Tracer* tracer, std::size_t recv_slot_bytes = 2048,
+              const proto::CoConfig& proto = oracle_test_config())
       : oracle_(n) {
     HostBuilder builder(n);
-    builder.proto(oracle_test_config())
+    builder.proto(proto)
         .shards(shards)
         .send_loss(send_loss, /*seed=*/1000)
         .tracer(tracer)
@@ -110,6 +115,15 @@ TEST(HostRuntime, CoServiceAcrossShardsUnderLoss) {
   EXPECT_GT(total.datagrams_dropped_injected, 0u);  // loss actually injected
   EXPECT_EQ(total.decode_errors, 0u);
   EXPECT_EQ(total.submit_rejected, 0u);
+  // Only frames between the shards can be lost, and recovery ran.
+  std::uint64_t f1 = 0;
+  std::uint64_t retransmissions = 0;
+  for (EntityId e = 0; e < static_cast<EntityId>(kN); ++e) {
+    f1 += h.host().protocol_stats(e).f1_detections;
+    retransmissions += h.host().protocol_stats(e).retransmissions_sent;
+  }
+  EXPECT_GT(f1, 0u);
+  EXPECT_GT(retransmissions, 0u);
 
   // The shared tracer collected one lock-free stream per shard thread.
   EXPECT_GE(tracer.stream_count(), kShards);
@@ -155,10 +169,11 @@ TEST(HostRuntime, SubmitBackpressureCountsRejections) {
     EXPECT_EQ(host->submit(0, {1, 2, 3}), SubmitResult::kAccepted);
   EXPECT_EQ(host->submit(0, {1, 2, 3}), SubmitResult::kQueueFull);
   EXPECT_EQ(host->submit(0, {1, 2, 3}), SubmitResult::kQueueFull);
-  EXPECT_EQ(host->wire_stats(0).submit_rejected, 2u);
+  EXPECT_EQ(host->shard(0).entity(0).submit_rejected(), 2u);
   // The other entity's ring is untouched.
   EXPECT_EQ(host->submit(1, {9}), SubmitResult::kAccepted);
-  EXPECT_EQ(host->wire_stats(1).submit_rejected, 0u);
+  EXPECT_EQ(host->shard(0).entity(1).submit_rejected(), 0u);
+  EXPECT_EQ(host->total_wire_stats().submit_rejected, 2u);
 }
 
 TEST(HostRuntime, SubmitAfterStopReturnsStopped) {
@@ -197,31 +212,39 @@ TEST(HostRuntime, BuilderRejectsDuplicateAndOutOfRangeEntities) {
 // timeout) overflowed the cast negative, and poll(2) treats a negative
 // timeout as infinite-or-zero depending on sign handling — in practice the
 // loop busy-spun at 100% CPU. The arithmetic now lives in
-// clamped_poll_wait_ms, 64-bit end to end.
+// clamped_poll_wait_ns, 64-bit and saturating end to end. The shard sleeps
+// in ppoll(2) for exactly that many nanoseconds: rounding up to whole
+// milliseconds fired a timer due in 300 us (or 1 us) a full 1 ms late.
 TEST(HostRuntime, ClampedPollWaitMsNeverWrapsNegative) {
   const time::Tick now = 0;
   // A deadline 30 days out: > INT_MAX milliseconds away.
   const time::Deadline far = 30ll * 24 * 3600 * time::kSecond;
-  EXPECT_EQ(clamped_poll_wait_ms(5, now, far), 5);
-  EXPECT_GE(clamped_poll_wait_ms(INT_MAX, now, far), 0);  // the old wrap
-  // Unbounded cap with a far deadline clamps to INT_MAX, never negative.
-  EXPECT_EQ(clamped_poll_wait_ms(INT64_MAX, now, far), INT_MAX);
-  // A due (or past-due) deadline still sleeps at most one rounding step.
-  EXPECT_EQ(clamped_poll_wait_ms(5000, now, now), 1);
-  EXPECT_EQ(clamped_poll_wait_ms(5000, 10 * time::kSecond, now), 1);
-  // No timer pending: the cap rules (and huge caps clamp, negatives floor).
-  EXPECT_EQ(clamped_poll_wait_ms(250, now, std::nullopt), 250);
-  EXPECT_EQ(clamped_poll_wait_ms(INT64_MAX, now, std::nullopt), INT_MAX);
-  EXPECT_EQ(clamped_poll_wait_ms(-3, now, std::nullopt), 0);
-  // Sub-millisecond deadline: rounds UP so the timer is due on wake.
-  EXPECT_EQ(clamped_poll_wait_ms(5000, now, now + time::kMicrosecond), 1);
+  EXPECT_EQ(clamped_poll_wait_ns(5, now, far), 5 * time::kMillisecond);
+  EXPECT_GE(clamped_poll_wait_ns(INT_MAX, now, far), 0);  // the old wrap
+  // Unbounded cap with a far deadline waits for the deadline, never
+  // negative.
+  EXPECT_EQ(clamped_poll_wait_ns(INT64_MAX, now, far), far);
+  // A due (or past-due) deadline waits 0.
+  EXPECT_EQ(clamped_poll_wait_ns(5000, now, now), 0);
+  EXPECT_EQ(clamped_poll_wait_ns(5000, 10 * time::kSecond, now), 0);
+  // No timer pending: the cap rules (and huge caps saturate, negatives
+  // floor).
+  EXPECT_EQ(clamped_poll_wait_ns(250, now, std::nullopt),
+            250 * time::kMillisecond);
+  EXPECT_EQ(clamped_poll_wait_ns(INT64_MAX, now, std::nullopt), INT64_MAX);
+  EXPECT_EQ(clamped_poll_wait_ns(-3, now, std::nullopt), 0);
+  // Sub-millisecond deadlines: exact nanoseconds, no rounding.
+  EXPECT_EQ(clamped_poll_wait_ns(5000, now, now + time::kMicrosecond),
+            time::kMicrosecond);
+  EXPECT_EQ(clamped_poll_wait_ns(5000, now, now + 300 * time::kMicrosecond),
+            300 * time::kMicrosecond);
 }
 
 // Satellite: a datagram larger than a RecvBatch slot must be dropped and
 // counted (truncated_datagrams + decode_errors), never handed to the
 // decoder as a silently-clipped prefix — and the entity must keep working.
 TEST(HostRuntime, OversizedDatagramIsCountedNotMisparsed) {
-  HostHarness h(2, 1, 0.0, nullptr);
+  HostHarness h(2, 2, 0.0, nullptr);  // E0 and E1 on shards of their own
   // Shrink the receive slots AFTER build? No — recv_batch is a builder
   // knob; use a raw socket to lob a datagram bigger than the default slot.
   h.host().start();
@@ -242,10 +265,10 @@ TEST(HostRuntime, OversizedDatagramIsCountedNotMisparsed) {
   ASSERT_TRUE(h.oracle().await_deliveries(2, 10'000ms));
   h.host().stop();
 
-  const WireStats& s = h.host().wire_stats(0);
+  const WireStats s = h.host().shard(0).wire_stats();
   EXPECT_EQ(s.truncated_datagrams, 1u);
   EXPECT_GE(s.decode_errors, 1u);  // the truncated one counts as loss
-  EXPECT_EQ(h.host().wire_stats(1).truncated_datagrams, 0u);
+  EXPECT_EQ(h.host().shard(1).wire_stats().truncated_datagrams, 0u);
   EXPECT_EQ(h.oracle().check_co_service(), std::nullopt);
 }
 
@@ -379,9 +402,9 @@ obs::trace::TracerConfig streaming() {
 }
 
 // Frames never outgrow the receive slot. With 512-byte slots the frame
-// budget is 512 bytes; each entity's first pass packs six ~230-byte data
-// PDUs, which takes several frames, and no receiver built with the same
-// config may see a truncated datagram.
+// budget is 512 bytes; each shard's first pass packs twelve ~230-byte data
+// PDUs (six from each of its two entities), which takes several frames,
+// and no receiver built with the same config may see a truncated datagram.
 TEST(HostRuntime, FramesFitSmallReceiveSlots) {
   constexpr std::size_t kN = 4;
   constexpr int kRounds = 6;
@@ -397,9 +420,10 @@ TEST(HostRuntime, FramesFitSmallReceiveSlots) {
   h.host().stop();
   tracer.flush();
 
-  for (EntityId e = 0; e < static_cast<EntityId>(kN); ++e) {
-    EXPECT_EQ(h.host().wire_stats(e).truncated_datagrams, 0u) << "E" << e;
-    EXPECT_EQ(h.host().wire_stats(e).decode_errors, 0u) << "E" << e;
+  for (std::size_t s = 0; s < h.host().shard_count(); ++s) {
+    const WireStats w = h.host().shard(s).wire_stats();
+    EXPECT_EQ(w.truncated_datagrams, 0u) << "shard " << s;
+    EXPECT_EQ(w.decode_errors, 0u) << "shard " << s;
   }
   EXPECT_LE(tally.largest, kSlot);
   EXPECT_GT(tally.messages, tally.frames);  // some frames held several PDUs
@@ -433,6 +457,221 @@ TEST(HostRuntime, WireTxCountsEveryBroadcastOnce) {
   EXPECT_EQ(tracer.dropped(), 0u);
   EXPECT_GE(sent, 5 * kN);
   EXPECT_EQ(tally.messages, sent);
+}
+
+/// Counts accept records by (actor, origin). For hosts driven with
+/// poll_once() on the test thread, so no lock.
+class AcceptTally final : public proto::CoObserver {
+ public:
+  explicit AcceptTally(std::size_t n) : n_(n), counts_(n * n, 0) {}
+  void on_event(const proto::Record& r) override {
+    if (static_cast<proto::EventId>(r.event) == proto::EventId::kAccept)
+      ++counts_[static_cast<std::size_t>(r.actor) * n_ +
+                static_cast<std::size_t>(r.origin)];
+  }
+  int accepted(EntityId at, EntityId from) const {
+    return counts_[static_cast<std::size_t>(at) * n_ +
+                   static_cast<std::size_t>(from)];
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<int> counts_;
+};
+
+// The shard is the endpoint. A broadcast reaches the other entities of its
+// shard in-process and leaves once per destination endpoint; a frame from
+// elsewhere reaches every entity of the shard as one datagram.
+TEST(HostRuntime, CoLocatedEntitiesShareOneDatagram) {
+  constexpr std::size_t kN = 4;
+  proto::CoConfig pcfg = oracle_test_config();
+  // Timers far out: only the two submits below may send anything.
+  pcfg.defer_timeout = 10 * time::kSecond;
+  pcfg.retransmit_timeout = 20 * time::kSecond;
+  AcceptTally tally(kN);
+  auto trio = HostBuilder(kN)
+                  .proto(pcfg)
+                  .entity(0)
+                  .entity(1)
+                  .entity(2)
+                  .observer(&tally)
+                  .build();
+  auto solo = HostBuilder(kN).proto(pcfg).entity(3).observer(&tally).build();
+  ASSERT_EQ(trio->shard_count(), 1u);
+  trio->set_peer(3, solo->endpoint(3));
+  for (EntityId e = 0; e < 3; ++e) solo->set_peer(e, trio->endpoint(e));
+
+  // A submit at E0: E1 and E2 take it without any datagram, and it leaves
+  // as one datagram, to E3's endpoint.
+  ASSERT_EQ(trio->submit(0, {1, 2, 3}), SubmitResult::kAccepted);
+  trio->shard(0).poll_once(0ms);
+  EXPECT_EQ(trio->total_wire_stats().datagrams_sent, 1u);
+  EXPECT_EQ(trio->total_wire_stats().datagrams_received, 0u);
+  EXPECT_EQ(tally.accepted(1, 0), 1);
+  EXPECT_EQ(tally.accepted(2, 0), 1);
+
+  // E3 reads it and sends a frame of its own. E0, E1 and E2 share one
+  // endpoint, so that is one datagram too.
+  ASSERT_EQ(solo->submit(3, {4, 5, 6}), SubmitResult::kAccepted);
+  solo->shard(0).poll_once(1000ms);
+  EXPECT_EQ(solo->total_wire_stats().datagrams_received, 1u);
+  EXPECT_EQ(tally.accepted(3, 0), 1);
+  EXPECT_EQ(solo->total_wire_stats().datagrams_sent, 1u);
+
+  // The one datagram reaches all three entities.
+  trio->shard(0).poll_once(1000ms);
+  EXPECT_EQ(trio->total_wire_stats().datagrams_received, 1u);
+  for (EntityId e = 0; e < 3; ++e)
+    EXPECT_EQ(tally.accepted(e, 3), 1) << "E" << e;
+  EXPECT_EQ(trio->total_wire_stats().decode_errors, 0u);
+}
+
+/// Socket descriptors this process holds open.
+std::size_t open_sockets() {
+  std::size_t count = 0;
+  for (const auto& fd :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const auto target = std::filesystem::read_symlink(fd.path(), ec);
+    count += !ec && target.string().rfind("socket:", 0) == 0;
+  }
+  return count;
+}
+
+// A host binds one socket per shard, and the entities on a shard report
+// its endpoint. An explicit endpoint binds the entity's shard; two
+// different ones on one shard are refused.
+TEST(HostRuntime, OneSocketPerShard) {
+  const std::size_t before = open_sockets();
+  {
+    HostHarness h(8, 3, 0.0, nullptr);
+    EXPECT_EQ(open_sockets() - before, h.host().shard_count());
+    std::set<std::uint16_t> ports;
+    for (std::size_t s = 0; s < h.host().shard_count(); ++s) {
+      const Shard& shard = h.host().shard(s);
+      ports.insert(shard.endpoint().port);
+      for (std::size_t e = 0; e < shard.entity_count(); ++e)
+        EXPECT_EQ(h.host().endpoint(shard.entity(e).id()), shard.endpoint())
+            << "E" << shard.entity(e).id();
+    }
+    EXPECT_EQ(ports.size(), h.host().shard_count());
+  }
+
+  // Two ports nobody holds once these sockets close.
+  transport::UdpEndpoint a, b;
+  {
+    transport::UdpSocket sa, sb;
+    sa.bind_loopback(0);
+    sb.bind_loopback(0);
+    a = sa.local_endpoint();
+    b = sb.local_endpoint();
+  }
+  auto pinned = HostBuilder(2).entity(0).entity(1, a).build();
+  EXPECT_EQ(pinned->endpoint(0), a);
+  EXPECT_EQ(pinned->endpoint(1), a);
+  pinned.reset();
+  HostBuilder clash(2);
+  clash.entity(0, a).entity(1, b);
+  EXPECT_THROW(clash.build(), std::logic_error);
+}
+
+// Emission order across shards. A shard's entities share one frame, filled
+// in the order they emitted, so a confirmation of p never reaches the
+// other shard before p does. With nothing lost, F(2) — a third party's ACK
+// running ahead of our REQ — must never fire, and nothing is
+// retransmitted. Per-entity frames flushed in entity order fail this test:
+// a peer's confirmation of p can then leave before p.
+TEST(HostRuntime, NoFalseF2AcrossTwoShards) {
+  constexpr std::size_t kN = 8;
+  constexpr std::size_t kBurst = 24;  // three windows per source
+  // Timers slower than a pass, even a sanitizer's, so that the settle
+  // below finds a pass in which no timer sends.
+  proto::CoConfig pcfg = oracle_test_config();
+  pcfg.defer_timeout = 50 * time::kMillisecond;
+  pcfg.retransmit_timeout = 200 * time::kMillisecond;
+  HostHarness h(kN, 2, /*send_loss=*/0.0, nullptr, 2048, pcfg);
+  ASSERT_EQ(h.host().shard_count(), 2u);
+  for (std::size_t round = 0; round < kBurst; ++round)
+    for (EntityId e = 0; e < static_cast<EntityId>(kN); ++e) h.submit(e);
+
+  // Drive both shards on this thread, one pass each in turn: every pass
+  // reads all the other shard sent before it began.
+  Host& host = h.host();
+  const auto deadline = std::chrono::steady_clock::now() + 60s;
+  const auto all_delivered = [&] {
+    for (EntityId e = 0; e < static_cast<EntityId>(kN); ++e)
+      if (h.oracle().delivered_count(e) < kBurst * kN) return false;
+    return true;
+  };
+  while (!all_delivered() || !host.quiescent()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    for (std::size_t s = 0; s < 2; ++s) host.shard(s).poll_once(1ms);
+  }
+  // Settle: once a pass sends nothing, no datagram is in flight.
+  for (std::size_t pass = 0;; ++pass) {
+    ASSERT_LT(pass, 10'000u);
+    Shard& shard = host.shard(pass % 2);
+    const std::uint64_t sent = shard.wire_stats().datagrams_sent;
+    shard.poll_once(0ms);
+    if (shard.wire_stats().datagrams_sent == sent) break;
+  }
+
+  // Precondition: the loopback lost nothing, so any F(2) would be false.
+  const WireStats w = host.total_wire_stats();
+  ASSERT_EQ(w.send_buffer_drops, 0u);
+  ASSERT_EQ(w.datagrams_received, w.datagrams_sent);
+  for (EntityId e = 0; e < static_cast<EntityId>(kN); ++e) {
+    const auto s = host.protocol_stats(e);
+    EXPECT_EQ(s.f2_detections, 0u) << "E" << e;
+    EXPECT_EQ(s.retransmissions_sent, 0u) << "E" << e;
+  }
+  EXPECT_EQ(h.oracle().check_co_service(), std::nullopt);
+}
+
+// Hostile input at the shard edge. A decodable message whose src is an
+// entity of the receiving shard, or whose datagram did not come from src's
+// endpoint, is dropped and counted, never fed to a core. (Before the check,
+// the first row aborted the process in report_loss, and a seq 2^21 ahead
+// trips ParkBuffer's span check.)
+TEST(HostRuntime, ForgedSourcesAreDroppedAtTheEdge) {
+  struct Row {
+    const char* name;
+    EntityId src;
+    SeqNo seq;
+  };
+  const Row rows[] = {
+      {"data PDU claiming the receiver's own id", 0, 5},
+      {"data PDU claiming a peer's id, from an unrelated socket", 1,
+       SeqNo{1} << 21},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    HostHarness h(2, 2, /*send_loss=*/0.0, nullptr);  // one entity per shard
+    h.host().start();
+
+    proto::CoPdu forged;
+    forged.cid = oracle_test_config().cid;
+    forged.src = row.src;
+    forged.seq = row.seq;
+    forged.ack.assign(2, 0);
+    forged.data = {0xBA, 0xD0};
+    transport::UdpSocket attacker;
+    attacker.bind_loopback(0);
+    ASSERT_TRUE(attacker.send_to(h.host().endpoint(0), proto::encode(forged)));
+
+    // As in OversizedDatagramIsCountedNotMisparsed: the forged datagram
+    // waits in shard 0's socket ahead of the traffic these submits cause.
+    h.submit(0);
+    h.submit(1);
+    ASSERT_TRUE(h.oracle().await_deliveries(2, 10'000ms));
+    EXPECT_TRUE(h.host().await_quiescent(60'000ms));
+    h.host().stop();
+
+    EXPECT_EQ(h.host().shard(0).wire_stats().forged_src_drops, 1u);
+    EXPECT_EQ(h.host().total_wire_stats().forged_src_drops, 1u);
+    EXPECT_EQ(h.host().total_wire_stats().decode_errors, 0u);
+    EXPECT_EQ(h.oracle().check_co_service(), std::nullopt);
+  }
 }
 
 TEST(HostRuntime, StartRequiresEveryPeerEndpoint) {

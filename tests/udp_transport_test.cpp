@@ -227,13 +227,13 @@ TEST(UdpTransport, QueuedSubmitsLeaveAsOneDatagram) {
   sender->shard(0).poll_once(0ms);
   EXPECT_EQ(sender->protocol_stats(0).data_pdus_sent,
             static_cast<std::uint64_t>(kSubmits));
-  EXPECT_EQ(sender->wire_stats(0).datagrams_sent, 1u);
+  EXPECT_EQ(sender->total_wire_stats().datagrams_sent, 1u);
 
   // Loopback sendmmsg is synchronous: the frame already waits in the
   // receiver's socket buffer.
   receiver->shard(0).poll_once(1000ms);
-  EXPECT_EQ(receiver->wire_stats(1).datagrams_received, 1u);
-  EXPECT_EQ(receiver->wire_stats(1).decode_errors, 0u);
+  EXPECT_EQ(receiver->total_wire_stats().datagrams_received, 1u);
+  EXPECT_EQ(receiver->total_wire_stats().decode_errors, 0u);
   EXPECT_EQ(accepted.from_zero, kSubmits);
 }
 
@@ -254,7 +254,7 @@ TEST(UdpTransport, GarbageDatagramsAreIgnored) {
   ASSERT_TRUE(cluster.oracle().await_deliveries(2, 20'000ms));
   cluster.stop();
   EXPECT_EQ(cluster.oracle().check_co_service(), std::nullopt);
-  EXPECT_GT(cluster.host(0).wire_stats(0).decode_errors, 0u);
+  EXPECT_GT(cluster.host(0).total_wire_stats().decode_errors, 0u);
 }
 
 }  // namespace
