@@ -31,7 +31,7 @@ std::pair<bool, int> run_gated(bool gate, std::uint64_t seed) {
   o.proto.window = 8;
   o.proto.defer_timeout = 400_us;
   o.proto.retransmit_timeout = 2 * sim::kMillisecond;
-  o.proto.causal_pack_gate = gate;
+  o.proto.mutation = gate ? Mutation::kNone : Mutation::kNoCausalGate;
   o.net.delay = net::DelayModel::uniform(20_us, 500_us, seed ^ 0x77);
   o.net.buffer_capacity = 1u << 16;
   o.net.injected_loss = 0.12;

@@ -21,96 +21,17 @@ Both files come from `bench_micro --json`. Fails (exit 1) when
 
 Refresh the baseline (after an intentional perf change, on the reference
 machine) with: ./build/bench/bench_micro --json BENCH_baseline.json
-
-Wire mode (instead of the positionals): gate the sharded host's wire-level
-load figures from `co_load --json`.
-
-Usage: check_bench_regression.py --wire-current BENCH_wire.json \
-           [--wire-baseline BENCH_wire_baseline.json] [--wire-slack PCT]
-
-Fails when
-  * the document is missing a required key (schema check: the CI smoke
-    must notice co_load silently dropping a metric),
-  * order_violations != 0 or the drain did not complete — CO-order safety
-    is a hard gate, never a slack-able metric, or
-  * a baseline is given and pdus_per_sec fell more than --wire-slack
-    percent below it (default 40: wall-clock loopback throughput on shared
-    CI runners is noisy; the cliff this catches is architectural, not a
-    few percent of scheduler jitter).
-
-Refresh with: ./build/src/host/co_load --entities 8 --shards 2 \
-                  --seconds 2 --json BENCH_wire.json
 """
 
 import argparse
 import json
 import sys
 
-WIRE_REQUIRED_KEYS = (
-    "entities", "shards", "seconds", "submits", "deliveries",
-    "pdus_per_sec", "tco_us_per_message", "order_violations",
-    "submit_rejected", "drained", "datagrams_sent", "datagrams_received",
-)
-WIRE_TAP_KEYS = ("p50", "p90", "p99")
-
-
-def check_wire(args) -> int:
-    with open(args.wire_current) as f:
-        cur = json.load(f)
-
-    failures = []
-    for key in WIRE_REQUIRED_KEYS:
-        if key not in cur:
-            failures.append(f"BENCH_wire schema: missing key '{key}'")
-    tap = cur.get("tap_ms")
-    if not isinstance(tap, dict):
-        failures.append("BENCH_wire schema: missing object 'tap_ms'")
-    else:
-        for key in WIRE_TAP_KEYS:
-            if key not in tap:
-                failures.append(f"BENCH_wire schema: missing key "
-                                f"'tap_ms.{key}'")
-
-    if not failures:
-        pps = float(cur["pdus_per_sec"])
-        print(f"wire: {cur['entities']} entities / {cur['shards']} shards, "
-              f"{pps:.0f} PDUs/sec, tap p50={float(tap['p50']):.3f}ms "
-              f"p99={float(tap['p99']):.3f}ms, "
-              f"tco={float(cur['tco_us_per_message']):.2f}us/PDU")
-
-        violations = int(cur["order_violations"])
-        if violations != 0:
-            failures.append(f"{violations} CO-order violations on the wire "
-                            "path (must be exactly 0)")
-        if not cur["drained"]:
-            failures.append("load run did not drain: accepted submits never "
-                            "reached every entity")
-
-        if args.wire_baseline:
-            with open(args.wire_baseline) as f:
-                base = json.load(f)
-            base_pps = float(base["pdus_per_sec"])
-            floor = base_pps * (1.0 - args.wire_slack / 100.0)
-            delta_pct = (pps / base_pps - 1.0) * 100.0 if base_pps else 0.0
-            print(f"pdus_per_sec: baseline={base_pps:.0f} current={pps:.0f} "
-                  f"({delta_pct:+.1f}%, floor -{args.wire_slack:.0f}%)")
-            if pps < floor:
-                failures.append(
-                    f"wire throughput regressed {delta_pct:+.1f}% "
-                    f"(> -{args.wire_slack:.0f}% allowed)")
-
-    if failures:
-        for f in failures:
-            print(f"FAIL: {f}", file=sys.stderr)
-        return 1
-    print("OK: wire-level load figures within budget")
-    return 0
-
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("baseline", nargs="?")
-    ap.add_argument("current", nargs="?")
+    ap.add_argument("baseline")
+    ap.add_argument("current")
     ap.add_argument("--max-regress", type=float, default=25.0,
                     help="max tco_us_per_message regression, percent")
     ap.add_argument("--batch-slack", type=float, default=10.0,
@@ -118,22 +39,7 @@ def main() -> int:
     ap.add_argument("--trace-slack", type=float, default=1.0,
                     help="max tracing-disabled tco regression vs the "
                          "baseline, percent")
-    ap.add_argument("--wire-current",
-                    help="BENCH_wire.json from co_load --json; switches to "
-                         "wire mode (positionals are then unused)")
-    ap.add_argument("--wire-baseline",
-                    help="committed BENCH_wire.json to gate throughput "
-                         "against (wire mode)")
-    ap.add_argument("--wire-slack", type=float, default=40.0,
-                    help="max pdus_per_sec drop vs the wire baseline, "
-                         "percent")
     args = ap.parse_args()
-
-    if args.wire_current:
-        return check_wire(args)
-    if not args.baseline or not args.current:
-        ap.error("need BASELINE and CURRENT positionals (micro mode) or "
-                 "--wire-current (wire mode)")
 
     with open(args.baseline) as f:
         base = json.load(f)

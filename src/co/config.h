@@ -1,4 +1,4 @@
-// Tunables of the CO protocol (paper constants W and H, plus the timers the
+// Tunables of the CO protocol (the paper's window W, plus the timers the
 // paper leaves as "some predefined time units").
 #pragma once
 
@@ -17,14 +17,15 @@ struct KernelOps;
 }  // namespace kern
 
 /// Deliberate protocol defects for fuzzer self-validation (src/fuzz): each
-/// mutation disables one acceptance/delivery criterion inside CoEntity. The
+/// mutation disables one acceptance/delivery criterion inside CoCore. The
 /// fuzzer must detect every mutation within a bounded number of seeds —
 /// this is the harness's own regression test, proving the oracle actually
 /// has teeth. kNone is the real protocol.
 enum class Mutation {
   kNone,
   /// Disable the causal pre-ack gate (DESIGN.md deviation #2) — the paper's
-  /// bare rules, known to violate the CO service under loss.
+  /// bare rules, known to violate the CO service under loss (the
+  /// `bench_ablation` A1 table counts how often).
   kNoCausalGate,
   /// Deliver data to the application at acceptance, bypassing PRL ordering
   /// entirely (the PO baseline's behaviour).
@@ -42,13 +43,8 @@ struct CoConfig {
   std::size_t n = 0;
 
   /// Window size W of the flow condition:
-  ///   minAL_i <= SEQ < minAL_i + min(W, minBUF / (H * 2n)).
+  ///   minAL_i <= SEQ < minAL_i + min(W, minBUF / (H * 2n)), with H = 1.
   SeqNo window = 8;
-
-  /// H — buffer units one in-flight PDU is budgeted to occupy at a receiver
-  /// between acceptance and acknowledgment (H >= W in the paper's statement;
-  /// we keep it a free parameter for the ablation benches).
-  std::uint32_t h = 1;
 
   /// Deferred confirmation (§4.2/§5): when an entity has no data it sends a
   /// receipt-confirmation PDU only after hearing from every other entity or
@@ -69,18 +65,6 @@ struct CoConfig {
 
   /// Free-buffer units assumed for a peer before its first PDU arrives.
   BufUnits assumed_peer_buffer = 64;
-
-  /// Causal pre-acknowledgment gate (DESIGN.md deviation #2): hold a PDU in
-  /// its RRL until every PDU it detectably depends on has been
-  /// pre-acknowledged. The paper's Prop. 4.3 asserts this ordering but the
-  /// bare rules do not enforce it; the ablation bench (`bench_ablation`)
-  /// shows the CO service is violated without the gate. Leave on.
-  bool causal_pack_gate = true;
-
-  /// When true, the entity records per-PDU acceptance->PACK->ACK latencies
-  /// (experiment E2); the acceptance timestamp rides in the RRL/PRL entry,
-  /// so the cost is one clock read per accepted PDU.
-  bool record_latencies = true;
 
   /// Deliberate defect injected for fuzzer self-validation; kNone in any
   /// real run.
@@ -105,7 +89,6 @@ struct CoConfig {
                   "cluster size n must be in [2, " << kMaxClusterSize
                                                    << "], got " << n);
     CO_EXPECT_MSG(window >= 1, "window W must be >= 1");
-    CO_EXPECT_MSG(h >= 1, "buffer budget H must be >= 1");
     // Note on DstMask: clusters with n > kMaxSelectiveEntities (64) are
     // valid, but only for broadcast-to-all traffic — a selective mask has
     // one bit per entity and cannot address E_64 and beyond. submit()

@@ -167,10 +167,12 @@ bool CoCore::flow_condition_holds() const {
   // open). Bounding data PDUs preserves the intent — at most
   // min(W, minBUF/(H*2n)) unacknowledged data PDUs buffered per source —
   // and keeps the protocol live.
+  //
+  // H, the buffer units one in-flight PDU occupies at a receiver between
+  // acceptance and acknowledgment, is the constant 1: BUF counts PDUs.
   BufUnits min_buf = buf_[0];
   for (const BufUnits b : buf_) min_buf = std::min(min_buf, b);
-  const SeqNo buf_window =
-      static_cast<SeqNo>(min_buf / (config_.h * 2 * config_.n));
+  const SeqNo buf_window = static_cast<SeqNo>(min_buf / (2 * config_.n));
   const SeqNo eff_window = std::min<SeqNo>(config_.window, buf_window);
   if (eff_window == 0) return false;
   flush_min_al();
@@ -468,8 +470,7 @@ void CoCore::accept(const PduRef& ref) {
   buf_[j] = pdu.buf;
   // Share the body into the RRL; the acceptance timestamp rides along so
   // the PACK/ACK latency metrics need no side table.
-  rrl_[j].push_back(Prl::Entry{
-      ref, config_.record_latencies ? now_ : time::Tick{0}});
+  rrl_[j].push_back(Prl::Entry{ref, now_});
   if (rrl_[j].size() == 1) rrl_head_seq_[j] = pdu.seq;
   stats_.max_rrl = std::max(stats_.max_rrl, rrl_[j].size());
   ++stats_.pdus_accepted;
@@ -664,7 +665,7 @@ void CoCore::update_pal_row(EntityId j, const std::vector<SeqNo>& ack) {
 // ---------------------------------------------------------------------------
 
 bool CoCore::causally_gated(const CoPdu& p) const {
-  if (!config_.causal_pack_gate) return true;  // ablation: bare paper rules
+  // Ablation (bench_ablation A1): the bare paper rules.
   if (config_.mutation == Mutation::kNoCausalGate) return true;
   // Causal pre-ack gate (see DESIGN.md): p may move to the PRL only once
   // every PDU it detectably depends on (Theorem 4.1: all q with
@@ -893,44 +894,11 @@ std::ostream& operator<<(std::ostream& os, const CoEntityStats& s) {
             << " tco_us=" << s.tco_us_per_message() << '}';
 }
 
-CoEntityStats::Snapshot CoEntityStats::snapshot() const {
-  Snapshot s;
-  s.data_pdus_sent = data_pdus_sent;
-  s.ctrl_pdus_sent = ctrl_pdus_sent;
-  s.ret_pdus_sent = ret_pdus_sent;
-  s.retransmissions_sent = retransmissions_sent;
-  s.pdus_accepted = pdus_accepted;
-  s.duplicates_dropped = duplicates_dropped;
-  s.foreign_cluster_dropped = foreign_cluster_dropped;
-  s.malformed_dropped = malformed_dropped;
-  s.parked_out_of_order = parked_out_of_order;
-  s.pre_acknowledged = pre_acknowledged;
-  s.acknowledged = acknowledged;
-  s.delivered_to_app = delivered_to_app;
-  s.f1_detections = f1_detections;
-  s.f2_detections = f2_detections;
-  s.ret_retries = ret_retries;
-  s.heartbeats_sent = heartbeats_sent;
-  s.flow_blocked = flow_blocked;
-  s.processing_ns = processing_ns;
-  s.messages_processed = messages_processed;
-  s.max_rrl = max_rrl;
-  s.max_prl = max_prl;
-  s.max_sl = max_sl;
-  s.max_parked = max_parked;
-  s.accept_to_pack_ms = accept_to_pack_ms;
-  s.accept_to_ack_ms = accept_to_ack_ms;
-  s.tco_us_per_message = tco_us_per_message();
-  return s;
-}
-
 void CoCore::note_pack_time(const Prl::Entry& entry) {
-  if (!config_.record_latencies) return;
   stats_.accept_to_pack_ms.add(time::to_ms(now_ - entry.accepted_at));
 }
 
 void CoCore::note_ack_time(const Prl::Entry& entry) {
-  if (!config_.record_latencies) return;
   stats_.accept_to_ack_ms.add(time::to_ms(now_ - entry.accepted_at));
 }
 

@@ -105,45 +105,13 @@ struct CoEntityStats {
                               : 0.0;
   }
 
-  /// Stable copy of every counter at one instant (plus the derived Tco),
-  /// decoupled from further protocol progress. This is the supported way
-  /// for src/obs instruments and the harness to read entity statistics.
-  struct Snapshot;
-  Snapshot snapshot() const;
+  /// Stable copy of every counter at one instant, decoupled from further
+  /// protocol progress: the supported way for src/obs instruments and the
+  /// harness to read entity statistics, safe to retain after the entity
+  /// advances or dies.
+  using Snapshot = CoEntityStats;
+  Snapshot snapshot() const { return *this; }
 };
-
-/// Plain-data snapshot of CoEntityStats (see snapshot()). Field-for-field
-/// the same counters; safe to retain after the entity advances or dies.
-struct CoEntityStats::Snapshot {
-  std::uint64_t data_pdus_sent = 0;
-  std::uint64_t ctrl_pdus_sent = 0;
-  std::uint64_t ret_pdus_sent = 0;
-  std::uint64_t retransmissions_sent = 0;
-  std::uint64_t pdus_accepted = 0;
-  std::uint64_t duplicates_dropped = 0;
-  std::uint64_t foreign_cluster_dropped = 0;
-  std::uint64_t malformed_dropped = 0;
-  std::uint64_t parked_out_of_order = 0;
-  std::uint64_t pre_acknowledged = 0;
-  std::uint64_t acknowledged = 0;
-  std::uint64_t delivered_to_app = 0;
-  std::uint64_t f1_detections = 0;
-  std::uint64_t f2_detections = 0;
-  std::uint64_t ret_retries = 0;
-  std::uint64_t heartbeats_sent = 0;
-  std::uint64_t flow_blocked = 0;
-  std::uint64_t processing_ns = 0;
-  std::uint64_t messages_processed = 0;
-  std::size_t max_rrl = 0;
-  std::size_t max_prl = 0;
-  std::size_t max_sl = 0;
-  std::size_t max_parked = 0;
-  OnlineStats accept_to_pack_ms;
-  OnlineStats accept_to_ack_ms;
-  double tco_us_per_message = 0.0;
-};
-
-using CoEntityStatsSnapshot = CoEntityStats::Snapshot;
 
 std::ostream& operator<<(std::ostream& os, const CoEntityStats& s);
 
@@ -433,10 +401,6 @@ class CoCore {
   // pruned lazily against minAL_self inside flow_condition_holds).
   mutable std::deque<SeqNo> outstanding_data_;
 };
-
-/// The pre-refactor name; CoCore is the same class (the "entity" of the
-/// paper). Kept so protocol-level call sites read either way.
-using CoEntity = CoCore;
 
 }  // namespace co::proto
 

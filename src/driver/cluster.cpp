@@ -80,12 +80,12 @@ CoCluster::CoCluster(ClusterOptions options) : options_(std::move(options)) {
 
 CoCluster::~CoCluster() = default;
 
-CoEntity& CoCluster::entity(EntityId i) {
+CoCore& CoCluster::entity(EntityId i) {
   CO_EXPECT(i >= 0 && static_cast<std::size_t>(i) < entities_.size());
   return *entities_[static_cast<std::size_t>(i)];
 }
 
-const CoEntity& CoCluster::entity(EntityId i) const {
+const CoCore& CoCluster::entity(EntityId i) const {
   CO_EXPECT(i >= 0 && static_cast<std::size_t>(i) < entities_.size());
   return *entities_[static_cast<std::size_t>(i)];
 }
@@ -195,7 +195,7 @@ void CoCluster::register_observability() {
   for (std::size_t i = 0; i < n; ++i) {
     const auto id = static_cast<EntityId>(i);
     const obs::Labels ent = {{"entity", "E" + std::to_string(i)}};
-    const CoEntity* e = entities_[i].get();
+    const CoCore* e = entities_[i].get();
     auto add_kind = [&](const char* kind, SnapField field, const char* help) {
       obs::Labels labels = ent;
       labels.emplace_back("kind", kind);

@@ -73,8 +73,8 @@ class CoCluster final : private CoObserver {
   std::size_t size() const { return options_.proto.n; }
   sim::Scheduler& scheduler() { return sched_; }
   net::McNetwork<Message>& network() { return *network_; }
-  CoEntity& entity(EntityId i);
-  const CoEntity& entity(EntityId i) const;
+  CoCore& entity(EntityId i);
+  const CoCore& entity(EntityId i) const;
   /// The SimDriver animating entity `i` — the injection point for tests
   /// that feed a message straight to one entity, bypassing the network.
   driver::SimDriver& entity_driver(EntityId i);

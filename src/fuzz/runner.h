@@ -10,7 +10,7 @@
 //   3. PRL order     — each entity's pre-acknowledged log is a linear
 //                      extension of the detected causality relation;
 //   4. knowledge     — the AL/PAL vector invariants exposed by
-//                      CoEntity::knowledge_invariant_violation.
+//                      CoCore::knowledge_invariant_violation.
 //
 // Every run folds its full protocol record stream into a RecordDigest
 // (src/fuzz/effect_log.h); two runs of the same Scenario produce the same

@@ -155,20 +155,6 @@ HostBuilder& HostBuilder::recv_batch(std::size_t datagrams,
   return *this;
 }
 
-HostBuilder& HostBuilder::poll_spin(std::chrono::microseconds window) {
-  CO_EXPECT_MSG(window.count() >= 0, "spin window cannot be negative");
-  poll_spin_ = window;
-  return *this;
-}
-
-HostBuilder& HostBuilder::pin_shards(std::vector<int> cpus) {
-  for (const int cpu : cpus)
-    CO_EXPECT_MSG(cpu >= 0, "pin_shards: cpu ids must be >= 0");
-  pin_shards_ = true;
-  pin_cpus_ = std::move(cpus);
-  return *this;
-}
-
 std::unique_ptr<Host> HostBuilder::build() {
   proto_.validate();
   CO_EXPECT_MSG(!entities_.empty(), "a host needs at least one local entity");
@@ -201,15 +187,13 @@ std::unique_ptr<Host> HostBuilder::build() {
     port = ep.port;
   }
 
-  // Auto spin policy: busy-polling only pays when every shard can own a
-  // core and at least one is left for the producer threads; on smaller
+  // Spin policy: busy-polling only pays when every shard can own a core
+  // and at least one is left for the producer threads; on smaller
   // machines spinning shards steal the producers' cycles and latency gets
   // worse, so sleep immediately instead.
   const unsigned cores = std::thread::hardware_concurrency();
   const std::chrono::microseconds spin =
-      poll_spin_.has_value() ? *poll_spin_
-      : (cores >= shard_count + 1 ? kDefaultSpin
-                                  : std::chrono::microseconds{0});
+      cores >= shard_count + 1 ? kDefaultSpin : std::chrono::microseconds{0};
   for (std::size_t s = 0; s < shard_count; ++s) {
     ShardConfig cfg;
     cfg.socket.bind_loopback(ports[s]);
@@ -221,16 +205,7 @@ std::unique_ptr<Host> HostBuilder::build() {
     cfg.recv_slot_bytes = recv_slot_bytes_;
     host->shards_.push_back(std::make_unique<Shard>(
         s, std::move(cfg), &host->peers_, &host->deliver_, host->epoch_));
-    Shard& shard = *host->shards_.back();
-    shard.set_spin(spin);
-    if (pin_shards_) {
-      if (!pin_cpus_.empty()) {
-        shard.set_cpu(pin_cpus_[s % pin_cpus_.size()]);
-      } else {
-        const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-        shard.set_cpu(static_cast<int>(s % cores));
-      }
-    }
+    host->shards_.back()->set_spin(spin);
   }
 
   for (std::size_t i = 0; i < entities_.size(); ++i) {

@@ -41,7 +41,6 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -192,17 +191,6 @@ class HostBuilder {
   HostBuilder& submit_queue(std::size_t capacity);
   /// Receive batching: datagrams per recvmmsg burst / bytes per slot.
   HostBuilder& recv_batch(std::size_t datagrams, std::size_t slot_bytes);
-  /// Busy-poll window after the last event before a shard sleeps in
-  /// poll(2) (zero = sleep immediately). Unset, build() chooses: kDefaultSpin
-  /// when the machine has at least one core per shard plus one for
-  /// producers, zero otherwise — spinning shards on an oversubscribed box
-  /// steal cycles from the very threads that feed them and make latency
-  /// worse, not better.
-  HostBuilder& poll_spin(std::chrono::microseconds window);
-  /// Opt-in per-shard CPU affinity: shard s pins to cpus[s % cpus.size()],
-  /// or round-robin over [0, hardware_concurrency) when `cpus` is empty.
-  /// Off by default; best effort (an unsupported/denied pin is ignored).
-  HostBuilder& pin_shards(std::vector<int> cpus = {});
 
   /// Validate and bind: returns a Host in the `bound` state. Returns a
   /// unique_ptr because shards pin the host's peer table address.
@@ -225,9 +213,6 @@ class HostBuilder {
   std::size_t submit_queue_capacity_ = kDefaultSubmitQueueCapacity;
   std::size_t recv_batch_datagrams_ = 32;
   std::size_t recv_slot_bytes_ = 2048;
-  std::optional<std::chrono::microseconds> poll_spin_;  // nullopt = auto
-  bool pin_shards_ = false;
-  std::vector<int> pin_cpus_;
 };
 
 }  // namespace co::host

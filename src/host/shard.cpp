@@ -1,10 +1,5 @@
 #include "src/host/shard.h"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include <algorithm>
 #include <cerrno>
 #include <ctime>
@@ -363,7 +358,6 @@ bool Shard::poll_once(std::chrono::milliseconds max_wait) {
 }
 
 void Shard::run(const std::atomic<bool>& stop) {
-  apply_affinity();
   while (!stop.load(std::memory_order_relaxed)) poll_once(kIdlePollCap);
   close_and_drain();
 }
@@ -381,18 +375,6 @@ void Shard::close_and_drain() {
   for (auto& e : entities_) drain_submissions(*e, now);
   pump_local(now);
   flush();
-}
-
-void Shard::apply_affinity() const {
-#if defined(__linux__)
-  if (cpu_ < 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(cpu_), &set);
-  // Best effort: a shrunken cpuset or exotic sandbox refusing the pin is
-  // not worth dying over — the loop is correct unpinned.
-  (void)::pthread_setaffinity_np(::pthread_self(), sizeof set, &set);
-#endif
 }
 
 }  // namespace co::host

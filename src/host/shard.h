@@ -333,12 +333,6 @@ class Shard {
                    .count();
   }
 
-  /// Pin the shard thread to `cpu` when run() starts (-1 = unpinned).
-  /// Best effort: a failed or unsupported set_affinity is ignored. Call
-  /// before start().
-  void set_cpu(int cpu) { cpu_ = cpu; }
-  int pinned_cpu() const { return cpu_; }
-
   /// Relaxed hint updated after every loop iteration: true when every
   /// entity on this shard was quiescent (nothing owed, rings empty) at the
   /// end of the last poll.
@@ -380,8 +374,6 @@ class Shard {
   void pump_local(time::Tick now);
   /// Shutdown: refuse further submits, then drain what was accepted.
   void close_and_drain();
-  /// Apply the set_cpu() pin to the calling thread (best effort).
-  void apply_affinity() const;
 
   std::size_t index_;
   const std::vector<transport::UdpEndpoint>* peers_;
@@ -428,7 +420,6 @@ class Shard {
   std::atomic<bool> sleeping_{false};
   std::int64_t spin_ns_ = kDefaultSpin.count() * 1000;
   time::Tick last_activity_ = 0;
-  int cpu_ = -1;
   std::atomic<bool> quiescent_{false};
 };
 

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -27,7 +28,7 @@
 #include "src/common/rng.h"
 #include "src/net/delay.h"
 #include "src/net/fault.h"
-#include "src/net/network.h"
+#include "src/net/stats.h"
 #include "src/sim/scheduler.h"
 
 namespace co::net {
@@ -55,9 +56,10 @@ struct McConfig {
 };
 
 template <class Msg>
-class McNetwork final : public BroadcastNetwork<Msg> {
+class McNetwork final {
  public:
-  using typename BroadcastNetwork<Msg>::DeliverFn;
+  /// Invoked when a PDU reaches entity `self` (after queueing + service).
+  using DeliverFn = std::function<void(EntityId src, const Msg& msg)>;
 
   McNetwork(sim::Scheduler& sched, McConfig config)
       : sched_(sched),
@@ -69,13 +71,13 @@ class McNetwork final : public BroadcastNetwork<Msg> {
       last_arrival_.emplace_back(config_.n, -1);
   }
 
-  void attach(EntityId id, DeliverFn on_deliver) override {
+  void attach(EntityId id, DeliverFn on_deliver) {
     auto& rx = receiver(id);
     CO_EXPECT_MSG(!rx.deliver, "entity attached twice");
     rx.deliver = std::move(on_deliver);
   }
 
-  void broadcast(EntityId src, Msg msg) override {
+  void broadcast(EntityId src, Msg msg) {
     CO_EXPECT(valid(src));
     ++stats_.broadcasts;
     for (std::size_t dst = 0; dst < config_.n; ++dst)
@@ -89,9 +91,7 @@ class McNetwork final : public BroadcastNetwork<Msg> {
     transmit(src, dst, std::move(msg));
   }
 
-  std::size_t cluster_size() const override { return config_.n; }
-
-  BufUnits free_buffer(EntityId id) const override {
+  BufUnits free_buffer(EntityId id) const {
     const auto& rx = receiver(id);
     const std::size_t used = rx.queue.size();
     const BufUnits cap = effective_capacity(id, sched_.now());
@@ -99,7 +99,7 @@ class McNetwork final : public BroadcastNetwork<Msg> {
     return cap - static_cast<BufUnits>(used);
   }
 
-  const NetworkStats& stats() const override { return stats_; }
+  const NetworkStats& stats() const { return stats_; }
 
   /// Current ingress-queue occupancy at `id` (PDUs buffered, not the
   /// high-watermark in stats) — sampled by the observability gauges.

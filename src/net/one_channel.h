@@ -10,12 +10,14 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <utility>
 #include <vector>
 
 #include "src/common/expect.h"
 #include "src/common/rng.h"
-#include "src/net/network.h"
+#include "src/common/types.h"
+#include "src/net/stats.h"
 #include "src/sim/scheduler.h"
 
 namespace co::net {
@@ -30,9 +32,10 @@ struct OneChannelConfig {
 };
 
 template <class Msg>
-class OneChannelNetwork final : public BroadcastNetwork<Msg> {
+class OneChannelNetwork final {
  public:
-  using typename BroadcastNetwork<Msg>::DeliverFn;
+  /// Invoked when a PDU reaches entity `self` (after queueing + service).
+  using DeliverFn = std::function<void(EntityId src, const Msg& msg)>;
 
   OneChannelNetwork(sim::Scheduler& sched, OneChannelConfig config)
       : sched_(sched),
@@ -42,13 +45,13 @@ class OneChannelNetwork final : public BroadcastNetwork<Msg> {
     CO_EXPECT(config_.n >= 2);
   }
 
-  void attach(EntityId id, DeliverFn on_deliver) override {
+  void attach(EntityId id, DeliverFn on_deliver) {
     auto& rx = receiver(id);
     CO_EXPECT(!rx.deliver);
     rx.deliver = std::move(on_deliver);
   }
 
-  void broadcast(EntityId src, Msg msg) override {
+  void broadcast(EntityId src, Msg msg) {
     CO_EXPECT(valid(src));
     ++stats_.broadcasts;
     // A single channel: the PDU occupies one slot in the global order; every
@@ -61,15 +64,13 @@ class OneChannelNetwork final : public BroadcastNetwork<Msg> {
     });
   }
 
-  std::size_t cluster_size() const override { return config_.n; }
-
-  BufUnits free_buffer(EntityId id) const override {
+  BufUnits free_buffer(EntityId id) const {
     const auto& rx = receiver(id);
     if (rx.queue.size() >= config_.buffer_capacity) return 0;
     return config_.buffer_capacity - static_cast<BufUnits>(rx.queue.size());
   }
 
-  const NetworkStats& stats() const override { return stats_; }
+  const NetworkStats& stats() const { return stats_; }
 
   /// Global receive order observed so far (for tests: all receivers must
   /// deliver a subsequence of this).

@@ -64,7 +64,7 @@ TEST(CausalGate, DisabledReproducesBarePaperBehaviour) {
   cfg.n = 4;
   cfg.window = 8;
   cfg.assumed_peer_buffer = 1u << 20;
-  cfg.causal_pack_gate = false;
+  cfg.mutation = Mutation::kNoCausalGate;
   StepHarness h(0, cfg, /*free_buf=*/1u << 20);
   h.on_message(1, Message(make(1, 1, {1, 1, 1, 1})));
   h.on_message(2, Message(make(2, 1, {1, 2, 1, 1})));
