@@ -11,7 +11,15 @@
 // per-data confirmation count is ~n without deferral (every receiver
 // confirms every PDU) and ~1 with it (one deferred confirmation covers a
 // whole round), i.e. O(n^2) vs O(n) PDUs in the cluster per round.
+//
+// Shape gate (ctest runs this bench): over n = 2..10, deferred ctrl/data
+// may vary by at most 1.5x (it reads 5.87-6.90), while immediate ctrl/data
+// must grow at least 2x from n = 2 to n = 10 (4.90 -> 12.93). A failure is
+// named on stderr and the exit status is 1, so a passing run prints
+// exactly the table.
+#include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "src/common/table.h"
 #include "src/harness/experiment.h"
@@ -24,6 +32,8 @@ int main() {
   Table table({"n", "mode", "data PDUs", "ack-only PDUs", "ctrl/data",
                "total broadcasts"});
 
+  std::vector<double> deferred_ratio;
+  std::vector<double> immediate_ratio;
   for (std::size_t n = 2; n <= 10; n += 2) {
     for (const bool deferred : {true, false}) {
       harness::ExperimentConfig cfg;
@@ -49,6 +59,7 @@ int main() {
                      Table::num(r.data_pdus), Table::num(r.ctrl_pdus),
                      Table::num(r.ctrl_per_data, 2),
                      Table::num(r.data_pdus + r.ctrl_pdus)});
+      (deferred ? deferred_ratio : immediate_ratio).push_back(r.ctrl_per_data);
     }
   }
   table.print(std::cout);
@@ -56,5 +67,22 @@ int main() {
   std::cout << "\nExpected shape: ctrl/data grows ~n without deferral "
                "(O(n^2) PDUs per round cluster-wide) and stays ~flat with it "
                "(O(n)).\n";
-  return 0;
+
+  const auto [lo, hi] =
+      std::minmax_element(deferred_ratio.begin(), deferred_ratio.end());
+  const double deferred_spread = *hi / *lo;
+  const double immediate_growth =
+      immediate_ratio.back() / immediate_ratio.front();
+  bool shape_holds = true;
+  if (!(deferred_spread <= 1.5)) {
+    std::cerr << "E5 shape gate failed: deferred ctrl/data varies "
+              << deferred_spread << "x over n = 2..10 (want <= 1.5x)\n";
+    shape_holds = false;
+  }
+  if (!(immediate_growth >= 2.0)) {
+    std::cerr << "E5 shape gate failed: immediate ctrl/data grows only "
+              << immediate_growth << "x from n = 2 to 10 (want >= 2x)\n";
+    shape_holds = false;
+  }
+  return shape_holds ? 0 : 1;
 }

@@ -210,10 +210,16 @@ void CoCore::transmit(const std::vector<std::uint8_t>& data, DstMask dst) {
   sl_resent_at_.push_back(-1);
   stats_.max_sl = std::max(stats_.max_sl, sl_.size());
 
-  // A send counts as fresh confirmation of everything accepted so far.
+  // A send counts as fresh confirmation of everything accepted so far, and
+  // it pays the previous PDU's successor debt. A peer pre-acknowledges a
+  // PDU of ours only once a later one shows that we accepted it, and
+  // deliveries wait on two kinds being pre-acknowledged: a data PDU, and
+  // the first PDU that confirms data we accepted. Each owes a successor.
+  successor_owed_ = ref->is_data() || any_data_accepted_since_send_;
   std::fill(heard_since_send_.begin(), heard_since_send_.end(), false);
   accepted_since_send_ = false;
   data_accepted_since_send_ = false;
+  any_data_accepted_since_send_ = false;
   cancel_timer(TimerId::kDefer);
 
   trace(EventId::kSend, ref->key(), ref->is_data() ? 1 : 0);
@@ -253,9 +259,11 @@ bool CoCore::ctrl_send_allowed() const {
 }
 
 bool CoCore::has_data_interest() const {
-  // Data this entity is still waiting to deliver or to see acknowledged:
-  // queued DT requests, accepted-but-undelivered data, parked PDUs or known
-  // gaps (something is in flight), or own unacknowledged sends.
+  // Data this entity is still waiting to send or to deliver: queued DT
+  // requests, accepted-but-undelivered data, parked PDUs or known gaps
+  // (something is in flight). Own data counts only until this entity
+  // delivers it, not until peers do: the source usually delivers first and
+  // loses interest while peers still need its next PDU (successor_owed_).
   if (!app_queue_.empty() || undelivered_data_ != 0) return true;
   for (std::size_t j = 0; j < config_.n; ++j) {
     if (!parked_[j].empty()) return true;
@@ -285,16 +293,21 @@ void CoCore::maybe_confirm_now() {
   // Two dampers on the fast path keep ack-only traffic from congesting the
   // cluster (ack-only PDUs are exempt from the flow condition, so they are
   // rate-limited here instead):
-  //   * only while this entity still has data in flight it wants
-  //     acknowledged — an idle cluster chatters at 1/defer_timeout, not at
-  //     network rate;
+  //   * only while this entity still has data in flight
+  //     (has_data_interest()) or its last PDU owes a successor — an idle
+  //     cluster chatters at 1/defer_timeout, not at network rate. Data
+  //     interest alone is not enough (DESIGN.md deviation #9): the entity
+  //     that delivers first loses it in the very step that completes its
+  //     heard-all set, while its peers pre-acknowledge its last PDU only
+  //     once this next one arrives;
   //   * never while own data is queued behind a closed window — each
   //     ack-only PDU consumes a SEQ and would keep the window shut forever;
   //     the queued data PDU itself will carry the confirmations, and the
   //     timer covers the case where the window stays closed for a while.
   const bool heard_all = kern_->all_set(heard_since_send_.data(), config_.n,
                                         static_cast<std::size_t>(self_));
-  if (heard_all && app_queue_.empty() && has_data_interest() &&
+  if (heard_all && app_queue_.empty() &&
+      (has_data_interest() || successor_owed_) &&
       config_.deferred_confirmation && config_.confirm_on_heard_all)
     transmit({});
   else
@@ -493,6 +506,7 @@ void CoCore::accept(const PduRef& ref) {
 
   scan_acks_for_loss(pdu.ack);
 
+  if (pdu.is_data()) any_data_accepted_since_send_ = true;
   if (pdu.src != self_) {
     heard_since_send_[j] = true;
     accepted_since_send_ = true;

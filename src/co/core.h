@@ -201,7 +201,8 @@ class CoCore {
   std::optional<std::string> knowledge_invariant_violation() const;
 
   /// True while this entity itself still has data in flight (queued,
-  /// undelivered, parked, or known-missing) — gates the fast confirm path.
+  /// undelivered, parked, or known-missing) — gates the fast confirm path,
+  /// together with the successor its last PDU may still owe.
   bool has_data_interest() const;
 
  private:
@@ -384,8 +385,14 @@ class CoCore {
   // kernel pass over contiguous bytes.
   time::Tick last_ctrl_tx_ = -1;
   std::vector<std::uint8_t> heard_since_send_;
-  bool accepted_since_send_ = false;
-  bool data_accepted_since_send_ = false;
+  bool accepted_since_send_ = false;       // any peer PDU
+  bool data_accepted_since_send_ = false;  // a peer data PDU (E5 ablation)
+  bool any_data_accepted_since_send_ = false;  // a data PDU, own included
+  // The last PDU sent still owes a successor (DESIGN.md deviation #9):
+  // peers pre-acknowledge a PDU only once our NEXT PDU carries ack[self]
+  // past it, so the heard-all fast path fires for it even after our own
+  // data interest is gone.
+  bool successor_owed_ = false;
 
   // Application send queue (payload + destination set).
   struct DtRequest {

@@ -109,5 +109,46 @@ TEST(CoCluster, FlowConditionBlocksBeyondWindow) {
   EXPECT_EQ(c.check_co_service(), std::nullopt);
 }
 
+// A single broadcast on a warm, loss-free cluster is acknowledged by the
+// paper's two confirmation rounds of n ack-only PDUs each, never by the
+// defer timer: the entity that delivers first still sends the successor
+// its last PDU owes (DESIGN.md deviation #9). At 25-µs links a broadcast
+// takes 2n+1 link delays (0.825 ms at n = 16). Without the successor, 2n−1
+// ack-only PDUs went out and every entity but the source waited for the
+// next submit (5.05 ms here) or the 10-ms defer timer.
+class SingleSubmit : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SingleSubmit, WarmClusterConfirmsInTwoRoundsOfN) {
+  const std::size_t n = GetParam();
+  ClusterOptions o;
+  o.proto.n = n;
+  o.proto.defer_timeout = 10 * sim::kMillisecond;
+  o.net = net::McConfig::reliable(n, 25_us);
+  CoCluster c(o);
+  const auto source = [n](std::size_t k) {
+    return static_cast<EntityId>(k % n);
+  };
+  // Warm-up: a cold entity has heard from no one since its last send, so
+  // the first exchanges fall back to the timer.
+  for (std::size_t k = 0; k < 2 * n; ++k) {
+    c.submit_text(source(k), "warm");
+    c.run_for(5_ms);
+  }
+  ASSERT_TRUE(c.all_delivered());
+  for (std::size_t k = 0; k < 4 * n; ++k) {
+    const std::uint64_t ctrl = c.aggregate_stats().ctrl_pdus_sent;
+    c.submit_text(source(k), "m" + std::to_string(k));
+    c.run_for(1_ms);
+    EXPECT_TRUE(c.all_delivered()) << "n=" << n << " submit " << k;
+    c.run_for(4_ms);
+    EXPECT_EQ(c.aggregate_stats().ctrl_pdus_sent - ctrl, 2 * n)
+        << "n=" << n << " submit " << k;
+  }
+  EXPECT_EQ(c.check_co_service(), std::nullopt);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, SingleSubmit,
+                         ::testing::Values(2, 3, 4, 8, 16));
+
 }  // namespace
 }  // namespace co::proto

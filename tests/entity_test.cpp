@@ -343,6 +343,7 @@ TEST(Entity, TwoRoundsOfConfirmationsDeliverAndPruneOwnData) {
 
   // Round 2: peers confirm the round-1 confirmations (ACK = <3,2,2>).
   h.on_message(1, Message(make(1, 2, {3, 2, 2}, {})));
+  const std::size_t before_delivery = h.broadcasts.size();
   h.on_message(2, Message(make(2, 2, {3, 2, 2}, {})));
 
   // Our data PDU is now acknowledged: delivered to our own application,
@@ -350,7 +351,60 @@ TEST(Entity, TwoRoundsOfConfirmationsDeliverAndPruneOwnData) {
   ASSERT_EQ(h.delivered.size(), 1u);
   EXPECT_EQ(h.delivered[0].key(), (PduKey{0, 1}));
   EXPECT_GE(e.min_pal(0), 2u);
-  EXPECT_LE(e.sent_log_size(), 1u);  // data PDU gone; own ctrl may remain
+  // The delivering step still sends the successor our round-1
+  // confirmation owes: peers pre-acknowledge it only once a later PDU of
+  // ours carries ACK_0 past it. Exactly one ack-only PDU, SEQ 3.
+  ASSERT_EQ(h.broadcasts.size(), before_delivery + 1);
+  const CoPdu successor = h.data_broadcasts().back();
+  EXPECT_FALSE(successor.is_data());
+  EXPECT_EQ(successor.key(), (PduKey{0, 3}));
+  EXPECT_EQ(successor.ack, (std::vector<SeqNo>{3, 3, 3}));
+  // The sent log holds the two ack-only PDUs [2, 4); the data PDU is gone.
+  EXPECT_EQ(e.next_seq(), 4u);
+  EXPECT_EQ(e.sent_log_size(), 2u);
+}
+
+TEST(Entity, DeliveringEntitySendsTheSuccessorItOwesThenOnlyTheTimer) {
+  // n = 2, at the source E0. Its receipts complete the heard-all set and
+  // the ACK condition in one step; having lost its data interest in that
+  // step, it must still send the one PDU its peer needs to pre-acknowledge
+  // E0's round-1 confirmation. After that nothing is owed: ack-only
+  // receipts arm the defer timer but never fire the fast path.
+  CoConfig c = config3();
+  c.n = 2;
+  StepHarness h(0, c);
+  CoCore& e = h.core();
+  h.submit({1});                                          // d, SEQ 1
+  h.on_message(0, Message(h.data_broadcasts().back()));  // loopback
+  h.on_message(1, Message(make(1, 1, {2, 1}, {})));      // E1 confirms d
+  ASSERT_EQ(h.ctrl_count(), 1u);  // heard all with data in flight
+  const CoPdu round1 = h.data_broadcasts().back();
+  EXPECT_EQ(round1.key(), (PduKey{0, 2}));
+  h.on_message(0, Message(round1));
+  EXPECT_TRUE(h.delivered.empty());
+
+  // E1's second confirmation (ACK = <3,2>) completes E0's heard-all set
+  // and its ACK condition in the same step.
+  h.on_message(1, Message(make(1, 2, {3, 2}, {})));
+  ASSERT_EQ(h.delivered.size(), 1u);
+  EXPECT_FALSE(e.has_data_interest());
+  ASSERT_EQ(h.ctrl_count(), 2u);  // exactly one ack-only PDU in that step
+  const CoPdu successor = h.data_broadcasts().back();
+  EXPECT_EQ(successor.key(), (PduKey{0, 3}));
+  EXPECT_EQ(successor.ack, (std::vector<SeqNo>{3, 3}));
+  h.on_message(0, Message(successor));
+
+  // Nothing in flight and no successor owed: further ack-only receipts
+  // send nothing at once; only the defer timer remains.
+  h.on_message(1, Message(make(1, 3, {4, 3}, {})));
+  h.on_message(1, Message(make(1, 4, {4, 4}, {})));
+  EXPECT_EQ(h.broadcasts.size(), 3u);  // d, round 1, successor
+  EXPECT_TRUE(e.timer_pending(TimerId::kDefer));
+  h.run_until(h.now() + c.defer_timeout - 1);
+  EXPECT_EQ(h.broadcasts.size(), 3u);
+  h.run_until(h.now() + 1);
+  ASSERT_EQ(h.broadcasts.size(), 4u);
+  EXPECT_FALSE(h.data_broadcasts().back().is_data());
 }
 
 TEST(Entity, RejectsMalformedConstruction) {

@@ -628,6 +628,36 @@ TEST(HostRuntime, NoFalseF2AcrossTwoShards) {
   EXPECT_EQ(h.oracle().check_co_service(), std::nullopt);
 }
 
+// A single submit on a warm host is confirmed by the two rounds of
+// ack-only PDUs themselves, not by the defer timer: the entity that
+// delivers first still sends the successor its last PDU owes (DESIGN.md
+// deviation #9). Without it, every entity but that one waited a whole
+// defer_timeout.
+TEST(HostRuntime, WarmSingleSubmitsOutrunTheDeferTimer) {
+  constexpr std::size_t kN = 8;
+  constexpr std::size_t kSubmits = 8;
+  proto::CoConfig pcfg = oracle_test_config();
+  pcfg.defer_timeout = 200 * time::kMillisecond;
+  pcfg.retransmit_timeout = 1000 * time::kMillisecond;
+  const auto bound = std::chrono::nanoseconds(pcfg.defer_timeout / 10);
+  HostHarness h(kN, 2, /*send_loss=*/0.0, nullptr, 2048, pcfg);
+  h.host().start();
+  // Warm-up: a cold entity has heard from no one since its last send, so
+  // the first exchange falls back to the timer.
+  h.submit(0);
+  ASSERT_TRUE(h.oracle().await_deliveries(1, 30'000ms));
+
+  for (std::size_t k = 0; k < kSubmits; ++k) {
+    const auto t0 = std::chrono::steady_clock::now();
+    h.submit(static_cast<EntityId>(k % kN));
+    ASSERT_TRUE(h.oracle().await_deliveries(k + 2, 30'000ms));
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, bound)
+        << "submit " << k << " from E" << k % kN;
+  }
+  h.host().stop();
+  EXPECT_EQ(h.oracle().check_co_service(), std::nullopt);
+}
+
 // Hostile input at the shard edge. A decodable message whose src is an
 // entity of the receiving shard, or whose datagram did not come from src's
 // endpoint, is dropped and counted, never fed to a core. (Before the check,
