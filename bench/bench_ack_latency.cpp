@@ -68,7 +68,6 @@ int main() {
     }
   }
   table.print(std::cout);
-  table.write_csv_if_requested("e2_ack_latency");
   std::cout << "\nExpected shape: PACK/R ~= 1 and ACK/R ~= 2 once R dominates "
                "the confirmation cadence (bottom rows).\n";
   return shape_holds ? 0 : 1;

@@ -46,7 +46,6 @@ int main() {
                    Table::num(static_cast<std::uint64_t>(r.max_sent_log))});
   }
   table.print(std::cout);
-  table.write_csv_if_requested("e3_buffer");
 
   const auto fit = fit_power(ns, bufs);
   std::cout << "\nBuffer growth: max_buffered(n) ~ n^"

@@ -63,7 +63,6 @@ int main() {
     }
   }
   table.print(std::cout);
-  table.write_csv_if_requested("e5_deferred");
   std::cout << "\nExpected shape: ctrl/data grows ~n without deferral "
                "(O(n^2) PDUs per round cluster-wide) and stays ~flat with it "
                "(O(n)).\n";

@@ -106,7 +106,6 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  table.write_csv_if_requested("fig8");
 
   const auto tco_fit = fit_power(ns, tcos);
   const auto tap_fit = fit_power(ns, taps);

@@ -54,7 +54,6 @@ int main() {
                    Table::num(static_cast<std::uint64_t>(s_ret))});
   }
   table.print(std::cout);
-  table.write_csv_if_requested("e4_pdu_size");
 
   const auto fit = fit_linear(ns, hdr);
   std::cout << "\nHeader growth: bytes(n) ~= " << Table::num(fit.intercept, 1)

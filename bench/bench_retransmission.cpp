@@ -62,7 +62,6 @@ int main() {
     }
   }
   table.print(std::cout);
-  table.write_csv_if_requested("e6_retransmission");
   std::cout << "\nExpected shape: CO's rtx/loss stays near 1 (only lost PDUs "
                "resent); TO's grows with the in-flight suffix and loss "
                "rate.\n";

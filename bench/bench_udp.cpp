@@ -133,7 +133,6 @@ int main() {
                    r.completed ? "yes" : "NO"});
   }
   table.print(std::cout);
-  table.write_csv_if_requested("udp_latency");
   std::cout << "\nExpected shape: a few ms mean (two confirmation rounds at "
                "the 2 ms defer cadence dominate, exactly the 2R structure of "
                "E2); loss adds retransmission tail latency at the p99.\n";

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 
 #include "src/common/expect.h"
 
@@ -61,25 +59,6 @@ void Table::print(std::ostream& os) const {
   line();
   for (const auto& row : rows_) emit(row);
   line();
-}
-
-void Table::write_csv_if_requested(const std::string& name) const {
-  const char* dir = std::getenv("CO_BENCH_CSV_DIR");
-  if (dir == nullptr || *dir == '\0') return;
-  std::ofstream out(std::string(dir) + "/" + name + ".csv");
-  if (out) print_csv(out);
-}
-
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ',';
-      os << cells[c];
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
 }
 
 }  // namespace co

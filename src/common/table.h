@@ -1,8 +1,7 @@
-// Minimal ASCII table / CSV emitter for the benchmark harnesses.
+// Minimal ASCII table emitter for the benchmark harnesses.
 //
 // Every bench binary reproduces one table or figure from the paper; this
-// class renders the rows the same way the paper reports them and can also
-// dump CSV for external plotting.
+// class renders the rows the same way the paper reports them, on stdout.
 #pragma once
 
 #include <ostream>
@@ -24,12 +23,6 @@ class Table {
   static std::string num(std::int64_t v);
 
   void print(std::ostream& os) const;
-  void print_csv(std::ostream& os) const;
-
-  /// If the environment variable CO_BENCH_CSV_DIR is set, also write this
-  /// table as <dir>/<name>.csv (benches call this after printing, so runs
-  /// can be collected for external plotting without reparsing ASCII).
-  void write_csv_if_requested(const std::string& name) const;
 
  private:
   std::vector<std::string> headers_;

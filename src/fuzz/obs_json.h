@@ -12,8 +12,9 @@
 namespace co::fuzz {
 
 /// {"at_ns":..,"series":[{"name","labels":{..},"type", and "value" or
-/// "count"/"sum"/"min"/"max"/"buckets":[[index,count],..]},..]} — the same
-/// shape obs::write_jsonl_snapshot emits.
+/// "count"/"sum"/"min"/"max"/"buckets":[[index,count],..]},..]}. Buckets
+/// are sparse (no zero counts) over the shared Histogram ladder; index
+/// Histogram::bounds().size() is the +Inf overflow bucket.
 Json metrics_to_json(const obs::MetricsSnapshot& snap);
 
 }  // namespace co::fuzz

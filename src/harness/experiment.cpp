@@ -1,13 +1,8 @@
 #include "src/harness/experiment.h"
 
-#include <memory>
-
 #include "src/baselines/baseline_clusters.h"
 #include "src/driver/cluster.h"
 #include "src/common/expect.h"
-#include "src/harness/snapshot_pump.h"
-#include "src/obs/export.h"
-#include "src/obs/trace/tracer.h"
 
 namespace co::harness {
 
@@ -56,33 +51,16 @@ ExperimentResult run_co_experiment(const ExperimentConfig& config) {
       });
   workload.start();
 
-  // Optional JSONL time series: only pumped when explicitly requested, so
-  // plain obs attachment stays event-free.
-  std::unique_ptr<SnapshotPump> pump;
-  if (config.obs && config.metrics_snapshot_every > 0 &&
-      config.metrics_snapshot_sink) {
-    pump = std::make_unique<SnapshotPump>(
-        cluster.scheduler(), config.obs->registry,
-        *config.metrics_snapshot_sink, config.metrics_snapshot_every);
-    pump->start();
-  }
-
   ExperimentResult r;
   r.completed = run_sim(cluster.scheduler(), config.deadline, [&] {
     return workload.finished() && cluster.all_delivered();
   });
-  if (pump) pump->stop();
   r.sim_ms = sim::to_ms(cluster.scheduler().now());
 
   if (config.check_correctness) {
-    if (const auto v = cluster.check_co_service()) {
+    if (const auto v = cluster.check_co_service())
       r.violation = v->to_string() + "\nper-entity stats:\n" +
                     cluster.dump_entity_stats();
-      // Harness-level flight recorder: leave the event tail next to the
-      // verdict so the violation can be inspected without a re-run.
-      if (config.tracer != nullptr && !config.trace_dump_on_violation.empty())
-        config.tracer->write_snapshot_file(config.trace_dump_on_violation);
-    }
   }
   if (config.obs)
     r.metrics = config.obs->registry.snapshot(cluster.scheduler().now());

@@ -3,7 +3,6 @@
 // report. Every bench binary is a thin sweep over these functions.
 #pragma once
 
-#include <iosfwd>
 #include <optional>
 #include <string>
 
@@ -44,17 +43,9 @@ struct ExperimentConfig {
   /// Optional introspection bundle (not owned; must be built for this n).
   /// When set, the result carries a final metrics snapshot.
   obs::Observability* obs = nullptr;
-  /// With obs attached, > 0 pumps a JSONL snapshot line to
-  /// `metrics_snapshot_sink` every this many sim-ns (a time series).
-  sim::SimDuration metrics_snapshot_every = 0;
-  std::ostream* metrics_snapshot_sink = nullptr;
   /// Optional binary event tracer (not owned; CO runs only): every protocol
   /// milestone becomes a 32-byte record (src/obs/trace). Null = off.
   obs::trace::Tracer* tracer = nullptr;
-  /// With a tracer attached and check_correctness on, a failing CO-service
-  /// check dumps the tracer's resident tail to this .cotrace path — the
-  /// harness-level flight recorder. Empty = no dump.
-  std::string trace_dump_on_violation;
 };
 
 struct ExperimentResult {

@@ -1,19 +1,15 @@
 // co_inspect — run a configured CO experiment and break down where each
 // PDU's latency went.
 //
-//   co_inspect [--n N] [--messages M] [--payload B] [--window W]
-//              [--loss P] [--seed S] [--link-delay-us D] [--service-us D]
-//              [--defer-us D] [--deadline-ms D] [--top-k K] [--check]
-//              [--prom FILE] [--jsonl FILE] [--jsonl-every-ms D] [--csv FILE]
+//   co_inspect [run opts] [--top-k K] [--check] [--prom FILE]
 //
 // Prints the per-stage latency breakdown (network / park / pack-wait /
 // ack-wait, merged over all observer entities) plus the top-k slowest PDUs,
 // and cross-checks the stage totals against the harness Tap measurement.
-// --prom / --jsonl / --csv additionally export the final metrics snapshot
-// (the Prometheus dump is self-validated before the tool exits 0).
+// --prom additionally exports the final metrics snapshot as Prometheus
+// text, self-validated before the tool exits 0.
 //
-//   co_inspect trace [--n N] [--messages M] [--payload B] [--window W]
-//                    [--loss P] [--seed S] [--out FILE] [--from FILE]
+//   co_inspect trace [run opts] [--out FILE] [--from FILE]
 //                    [--perfetto FILE] [--summary] [--no-flows]
 //
 // Binary event tracing: runs the experiment with a streaming Tracer writing
@@ -22,6 +18,10 @@
 // trace_event JSON (one track per entity, per-PDU flow arrows), --summary
 // prints a digest. --from skips the run and converts an existing dump
 // (e.g. a fuzz counterexample's flight sidecar).
+//
+// Both modes take the same run opts: [--n N] [--messages M] [--payload B]
+// [--window W] [--loss P] [--seed S] [--link-delay-us D] [--service-us D]
+// [--defer-us D] [--deadline-ms D].
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -47,24 +47,27 @@ using namespace co;
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--n N] [--messages M] [--payload B] [--window W]\n"
-      "          [--loss P] [--seed S] [--link-delay-us D] [--service-us D]\n"
-      "          [--defer-us D] [--deadline-ms D] [--top-k K] [--check]\n"
-      "          [--prom FILE] [--jsonl FILE] [--jsonl-every-ms D] "
-      "[--csv FILE]\n"
+      "usage: %s [run opts] [--top-k K] [--check] [--prom FILE]\n"
       "       %s trace [run opts] [--out FILE] [--from FILE]\n"
-      "                [--perfetto FILE] [--summary] [--no-flows]\n",
+      "                [--perfetto FILE] [--summary] [--no-flows]\n"
+      "run opts: [--n N] [--messages M] [--payload B] [--window W]\n"
+      "          [--loss P] [--seed S] [--link-delay-us D] [--service-us D]\n"
+      "          [--defer-us D] [--deadline-ms D]\n",
       argv0, argv0);
   std::exit(2);
 }
 
 struct Args {
   harness::ExperimentConfig config;
+  // co_inspect
   std::size_t top_k = 10;
   std::optional<std::string> prom_path;
-  std::optional<std::string> jsonl_path;
-  sim::SimDuration jsonl_every = 5 * sim::kMillisecond;
-  std::optional<std::string> csv_path;
+  // co_inspect trace
+  std::string out = "co_trace.cotrace";
+  std::optional<std::string> from;
+  std::optional<std::string> perfetto_path;
+  bool summary = false;
+  bool flows = true;
 };
 
 std::uint64_t parse_u64(const char* s, const char* argv0) {
@@ -81,13 +84,18 @@ double parse_double(const char* s, const char* argv0) {
   return v;
 }
 
-Args parse_args(int argc, char** argv) {
+/// One parser for both modes: the run opts apply to either, the rest only
+/// to the mode that names them.
+Args parse_args(int argc, char** argv, bool trace) {
   Args a;
-  for (int i = 1; i < argc; ++i) {
+  for (int i = trace ? 2 : 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
+    };
+    auto duration = [&](sim::SimDuration unit) {
+      return static_cast<sim::SimDuration>(parse_u64(next(), argv[0])) * unit;
     };
     if (arg == "--n") a.config.n = parse_u64(next(), argv[0]);
     else if (arg == "--messages")
@@ -100,30 +108,21 @@ Args parse_args(int argc, char** argv) {
       a.config.injected_loss = parse_double(next(), argv[0]);
     else if (arg == "--seed") a.config.seed = parse_u64(next(), argv[0]);
     else if (arg == "--link-delay-us")
-      a.config.link_delay =
-          static_cast<sim::SimDuration>(parse_u64(next(), argv[0])) *
-          sim::kMicrosecond;
+      a.config.link_delay = duration(sim::kMicrosecond);
     else if (arg == "--service-us")
-      a.config.service_time =
-          static_cast<sim::SimDuration>(parse_u64(next(), argv[0])) *
-          sim::kMicrosecond;
+      a.config.service_time = duration(sim::kMicrosecond);
     else if (arg == "--defer-us")
-      a.config.defer_timeout =
-          static_cast<sim::SimDuration>(parse_u64(next(), argv[0])) *
-          sim::kMicrosecond;
+      a.config.defer_timeout = duration(sim::kMicrosecond);
     else if (arg == "--deadline-ms")
-      a.config.deadline =
-          static_cast<sim::SimTime>(parse_u64(next(), argv[0])) *
-          sim::kMillisecond;
-    else if (arg == "--top-k") a.top_k = parse_u64(next(), argv[0]);
-    else if (arg == "--check") a.config.check_correctness = true;
-    else if (arg == "--prom") a.prom_path = next();
-    else if (arg == "--jsonl") a.jsonl_path = next();
-    else if (arg == "--jsonl-every-ms")
-      a.jsonl_every =
-          static_cast<sim::SimDuration>(parse_u64(next(), argv[0])) *
-          sim::kMillisecond;
-    else if (arg == "--csv") a.csv_path = next();
+      a.config.deadline = duration(sim::kMillisecond);
+    else if (!trace && arg == "--top-k") a.top_k = parse_u64(next(), argv[0]);
+    else if (!trace && arg == "--check") a.config.check_correctness = true;
+    else if (!trace && arg == "--prom") a.prom_path = next();
+    else if (trace && arg == "--out") a.out = next();
+    else if (trace && arg == "--from") a.from = next();
+    else if (trace && arg == "--perfetto") a.perfetto_path = next();
+    else if (trace && arg == "--summary") a.summary = true;
+    else if (trace && arg == "--no-flows") a.flows = false;
     else usage(argv[0]);
   }
   if (a.config.n < 2) usage(argv[0]);
@@ -169,56 +168,8 @@ MergedStage merge_stage(const obs::MetricsSnapshot& snap,
 // ---------------------------------------------------------------------------
 // co_inspect trace — generate / validate / convert binary event traces.
 
-[[noreturn]] void trace_usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s trace [--n N] [--messages M] [--payload B] [--window W]\n"
-      "                [--loss P] [--seed S] [--out FILE] [--from FILE]\n"
-      "                [--perfetto FILE] [--summary] [--no-flows]\n",
-      argv0);
-  std::exit(2);
-}
-
-struct TraceArgs {
-  harness::ExperimentConfig config;
-  std::string out = "co_trace.cotrace";
-  std::optional<std::string> from;
-  std::optional<std::string> perfetto_path;
-  bool summary = false;
-  bool flows = true;
-};
-
-TraceArgs parse_trace_args(int argc, char** argv) {
-  TraceArgs a;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) trace_usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--n") a.config.n = parse_u64(next(), argv[0]);
-    else if (arg == "--messages")
-      a.config.workload.messages_per_entity = parse_u64(next(), argv[0]);
-    else if (arg == "--payload")
-      a.config.workload.payload_bytes = parse_u64(next(), argv[0]);
-    else if (arg == "--window")
-      a.config.window = static_cast<SeqNo>(parse_u64(next(), argv[0]));
-    else if (arg == "--loss")
-      a.config.injected_loss = parse_double(next(), argv[0]);
-    else if (arg == "--seed") a.config.seed = parse_u64(next(), argv[0]);
-    else if (arg == "--out") a.out = next();
-    else if (arg == "--from") a.from = next();
-    else if (arg == "--perfetto") a.perfetto_path = next();
-    else if (arg == "--summary") a.summary = true;
-    else if (arg == "--no-flows") a.flows = false;
-    else trace_usage(argv[0]);
-  }
-  if (a.config.n < 2) trace_usage(argv[0]);
-  return a;
-}
-
 int cmd_trace(int argc, char** argv) {
-  TraceArgs a = parse_trace_args(argc, argv);
+  Args a = parse_args(argc, argv, /*trace=*/true);
   std::string trace_path;
 
   if (a.from) {
@@ -302,22 +253,10 @@ int cmd_trace(int argc, char** argv) {
 int main(int argc, char** argv) try {
   if (argc >= 2 && std::string(argv[1]) == "trace")
     return cmd_trace(argc, argv);
-  Args a = parse_args(argc, argv);
+  Args a = parse_args(argc, argv, /*trace=*/false);
 
   obs::Observability observability(a.config.n, a.top_k);
   a.config.obs = &observability;
-
-  std::ofstream jsonl;
-  if (a.jsonl_path) {
-    jsonl.open(*a.jsonl_path);
-    if (!jsonl) {
-      std::fprintf(stderr, "co_inspect: cannot write %s\n",
-                   a.jsonl_path->c_str());
-      return 2;
-    }
-    a.config.metrics_snapshot_sink = &jsonl;
-    a.config.metrics_snapshot_every = a.jsonl_every;
-  }
 
   const harness::ExperimentResult r = harness::run_co_experiment(a.config);
 
@@ -380,11 +319,6 @@ int main(int argc, char** argv) try {
     std::fputs(tos.str().c_str(), stdout);
   }
 
-  if (a.jsonl_path) {
-    obs::write_jsonl_snapshot(jsonl, snap);  // final sample closes the series
-    jsonl.close();
-    std::printf("jsonl time series: %s\n", a.jsonl_path->c_str());
-  }
   if (a.prom_path) {
     std::ostringstream prom;
     obs::write_prometheus(prom, snap, &observability.registry);
@@ -402,16 +336,6 @@ int main(int argc, char** argv) try {
     out << prom.str();
     std::printf("prometheus dump: %s (validated, %zu series)\n",
                 a.prom_path->c_str(), snap.series.size());
-  }
-  if (a.csv_path) {
-    std::ofstream out(*a.csv_path);
-    if (!out) {
-      std::fprintf(stderr, "co_inspect: cannot write %s\n",
-                   a.csv_path->c_str());
-      return 2;
-    }
-    obs::write_csv(out, snap);
-    std::printf("csv dump: %s\n", a.csv_path->c_str());
   }
   return 0;
 } catch (const std::exception& e) {

@@ -29,12 +29,6 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-/// JSON never carries Inf/NaN; metrics values are finite by construction.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  return fmt_double(v);
-}
-
 std::string prom_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -43,28 +37,6 @@ std::string prom_escape(std::string_view s) {
     else if (c == '"') out += "\\\"";
     else if (c == '\n') out += "\\n";
     else out += c;
-  }
-  return out;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
   }
   return out;
 }
@@ -126,88 +98,6 @@ void write_prometheus(std::ostream& os, const MetricsSnapshot& snap,
        << '\n';
     os << s.name << "_count" << prom_labels(s.labels) << ' ' << s.count
        << '\n';
-  }
-}
-
-void write_jsonl_snapshot(std::ostream& os, const MetricsSnapshot& snap) {
-  os << "{\"at_ns\":" << snap.at << ",\"series\":[";
-  bool first_series = true;
-  for (const auto& s : snap.series) {
-    if (!first_series) os << ',';
-    first_series = false;
-    os << "{\"name\":\"" << json_escape(s.name) << "\",\"labels\":{";
-    bool first_label = true;
-    for (const auto& [k, v] : s.labels) {
-      if (!first_label) os << ',';
-      first_label = false;
-      os << '"' << json_escape(k) << "\":\"" << json_escape(v) << '"';
-    }
-    os << "},\"type\":\"" << metric_type_name(s.type) << '"';
-    if (s.type == MetricType::kHistogram) {
-      os << ",\"count\":" << s.count << ",\"sum\":" << json_number(s.sum)
-         << ",\"min\":" << json_number(s.hist_min)
-         << ",\"max\":" << json_number(s.hist_max) << ",\"buckets\":[";
-      bool first_bucket = true;
-      for (std::size_t i = 0; i < s.buckets.size(); ++i) {
-        if (s.buckets[i] == 0) continue;
-        if (!first_bucket) os << ',';
-        first_bucket = false;
-        os << '[' << i << ',' << s.buckets[i] << ']';
-      }
-      os << ']';
-    } else {
-      os << ",\"value\":" << json_number(s.value);
-    }
-    os << '}';
-  }
-  os << "]}\n";
-}
-
-namespace {
-
-// RFC-4180 quoting for the labels column (the only field with a free
-// charset), with newlines flattened to a literal \n so every series stays
-// on one physical row.
-std::string csv_field(const std::string& raw) {
-  std::string flat;
-  for (const char c : raw) {
-    if (c == '\n')
-      flat += "\\n";
-    else if (c == '\r')
-      flat += "\\r";
-    else
-      flat += c;
-  }
-  if (flat.find_first_of(",\"") == std::string::npos) return flat;
-  std::string quoted = "\"";
-  for (const char c : flat) {
-    if (c == '"') quoted += '"';
-    quoted += c;
-  }
-  quoted += '"';
-  return quoted;
-}
-
-}  // namespace
-
-void write_csv(std::ostream& os, const MetricsSnapshot& snap) {
-  os << "name,labels,type,value,count,sum,min,max,p50,p99\n";
-  for (const auto& s : snap.series) {
-    std::string labels;
-    for (const auto& [k, v] : s.labels) {
-      if (!labels.empty()) labels += ';';
-      labels += k + "=" + v;
-    }
-    os << s.name << ',' << csv_field(labels) << ','
-       << metric_type_name(s.type) << ',';
-    if (s.type == MetricType::kHistogram) {
-      os << ',' << s.count << ',' << fmt_double(s.sum) << ','
-         << fmt_double(s.hist_min) << ',' << fmt_double(s.hist_max) << ','
-         << fmt_double(s.quantile(0.50)) << ',' << fmt_double(s.quantile(0.99));
-    } else {
-      os << fmt_double(s.value) << ",,,,,";
-    }
-    os << '\n';
   }
 }
 

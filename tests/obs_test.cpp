@@ -188,47 +188,6 @@ TEST(Exporters, ValidatorRejectsMalformedExpositions) {
   EXPECT_FALSE(obs::validate_prometheus("").has_value());
 }
 
-TEST(Exporters, JsonlSnapshotIsStrictJson) {
-  const MetricsSnapshot snap = sample_snapshot();
-  std::ostringstream os;
-  obs::write_jsonl_snapshot(os, snap);
-  const std::string line = os.str();
-  ASSERT_FALSE(line.empty());
-  EXPECT_EQ(line.back(), '\n');
-  const fuzz::Json j = fuzz::Json::parse(line);
-  EXPECT_EQ(j.at("at_ns").as_i64(), 42);
-  ASSERT_EQ(j.at("series").as_array().size(), snap.series.size());
-  // Find the histogram series and check the sparse bucket encoding.
-  bool found = false;
-  for (const auto& s : j.at("series").as_array()) {
-    if (s.at("name").as_string() != "co_lat_ms") continue;
-    found = true;
-    EXPECT_EQ(s.at("type").as_string(), "histogram");
-    EXPECT_EQ(s.at("count").as_u64(), 4u);
-    std::uint64_t bucket_total = 0;
-    for (const auto& pair : s.at("buckets").as_array()) {
-      ASSERT_EQ(pair.as_array().size(), 2u);
-      EXPECT_GT(pair.as_array()[1].as_u64(), 0u);  // sparse: no zero entries
-      bucket_total += pair.as_array()[1].as_u64();
-    }
-    EXPECT_EQ(bucket_total, 4u);
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(Exporters, CsvHasHeaderAndOneRowPerSeries) {
-  const MetricsSnapshot snap = sample_snapshot();
-  std::ostringstream os;
-  obs::write_csv(os, snap);
-  std::istringstream in(os.str());
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "name,labels,type,value,count,sum,min,max,p50,p99");
-  std::size_t rows = 0;
-  while (std::getline(in, line)) ++rows;
-  EXPECT_EQ(rows, snap.series.size());
-}
-
 // ---------------------------------------------------------------------------
 // Zero perturbation: attaching observability changes nothing observable
 // ---------------------------------------------------------------------------
@@ -340,32 +299,6 @@ TEST(Spans, StageSumsMatchTheHarnessTapSample) {
     EXPECT_NEAR(p.network_ms + p.park_ms + p.pack_wait_ms + p.ack_wait_ms,
                 p.total_ms, 1e-6);
   EXPECT_EQ(bundle.spans.completed(), cfg.n * 6);
-}
-
-TEST(Spans, SnapshotPumpEmitsAMonotoneTimeSeries) {
-  harness::ExperimentConfig cfg;
-  cfg.n = 3;
-  cfg.workload.messages_per_entity = 8;
-  obs::Observability bundle(cfg.n);
-  std::ostringstream series;
-  cfg.obs = &bundle;
-  cfg.metrics_snapshot_every = 200 * sim::kMicrosecond;
-  cfg.metrics_snapshot_sink = &series;
-  const harness::ExperimentResult r = harness::run_co_experiment(cfg);
-  ASSERT_TRUE(r.completed);
-
-  std::istringstream in(series.str());
-  std::string line;
-  std::int64_t prev_at = -1;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) {
-    ++lines;
-    const fuzz::Json j = fuzz::Json::parse(line);
-    const std::int64_t at = j.at("at_ns").as_i64();
-    EXPECT_GT(at, prev_at);  // strictly advancing snapshot times
-    prev_at = at;
-  }
-  EXPECT_GE(lines, 2u) << "expected a time series, got " << lines << " lines";
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-// Unit tests: ASCII table / CSV emitter.
+// Unit tests: ASCII table emitter.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -19,15 +19,6 @@ TEST(Table, PrintsAlignedColumns) {
   EXPECT_NE(out.find("| longer-name | 22    |"), std::string::npos);
   // 3 separator lines + header + 2 rows.
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 6);
-}
-
-TEST(Table, CsvOutput) {
-  Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  t.add_row({"3", "4"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n3,4\n");
 }
 
 TEST(Table, RejectsMismatchedRow) {
