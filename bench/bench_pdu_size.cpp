@@ -5,6 +5,11 @@
 //
 // We serialize data, ack-only, and RET PDUs with the wire codec for growing
 // cluster sizes and fit the growth of the header (non-payload) bytes.
+//
+// Shape gate (ctest runs this bench): the linear fit of the ack-only PDU
+// size over n = 2..64 must have R^2 >= 0.99 and a slope of at most 2 bytes
+// per entity (it reads 1.00 B, R^2 1.000). A failure is named on stderr and
+// the exit status is 1, so a passing run prints exactly the table and fit.
 #include <iostream>
 
 #include "src/co/wire.h"
@@ -61,5 +66,17 @@ int main() {
             << Table::num(fit.r2, 3) << ") — linear in n as claimed "
             << "(~1 byte per confirmation: each ACK entry is the zig-zag "
             << "varint of its delta from SEQ, small in a healthy cluster).\n";
-  return 0;
+
+  bool shape_holds = true;
+  if (!(fit.r2 >= 0.99)) {
+    std::cerr << "E4 shape gate failed: ack-only size is not linear in n (R^2="
+              << fit.r2 << ", want >= 0.99)\n";
+    shape_holds = false;
+  }
+  if (!(fit.slope <= 2.0)) {
+    std::cerr << "E4 shape gate failed: ack-only size grows " << fit.slope
+              << " B per entity (want <= 2)\n";
+    shape_holds = false;
+  }
+  return shape_holds ? 0 : 1;
 }

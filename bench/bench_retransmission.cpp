@@ -11,6 +11,12 @@
 // PDU) and the simulated completion time for both protocols. The expected
 // shape: TO's retransmission volume explodes with loss (each loss drags a
 // whole stream suffix with it) while CO's tracks the loss count ~1:1.
+//
+// Shape gate (ctest runs this bench): at every loss rate above 0, CO must
+// complete, resend at most one PDU per lost copy (rtx/loss <= 1.0; it reads
+// 0.44-0.95) and resend fewer PDUs than TO (20-840 vs 2,331-64,133). A
+// failure is named on stderr and the exit status is 1, so a passing run
+// prints exactly the table.
 #include <iostream>
 
 #include "src/common/table.h"
@@ -25,6 +31,7 @@ int main() {
   Table table({"loss", "proto", "data PDUs", "lost copies", "retransmitted",
                "rtx/loss", "completion [ms]"});
 
+  bool shape_holds = true;
   for (const double loss : {0.0, 0.01, 0.02, 0.05, 0.10, 0.20}) {
     harness::ExperimentConfig cfg;
     cfg.n = 4;
@@ -60,10 +67,28 @@ int main() {
                 : "-",
            Table::num(pr->sim_ms, 1)});
     }
+    if (loss == 0.0) continue;
+    const std::uint64_t co_lost = co_r.dropped_injected + co_r.dropped_overrun;
+    if (!co_r.completed) {
+      std::cerr << "E6 shape gate failed at loss " << loss
+                << ": CO did not complete\n";
+      shape_holds = false;
+    } else if (co_r.retransmissions > co_lost) {
+      std::cerr << "E6 shape gate failed at loss " << loss << ": CO resent "
+                << co_r.retransmissions << " PDUs for " << co_lost
+                << " lost copies (want rtx/loss <= 1.0)\n";
+      shape_holds = false;
+    }
+    if (!(co_r.retransmissions < to_r.retransmissions)) {
+      std::cerr << "E6 shape gate failed at loss " << loss << ": CO resent "
+                << co_r.retransmissions << " PDUs, TO "
+                << to_r.retransmissions << " (want CO < TO)\n";
+      shape_holds = false;
+    }
   }
   table.print(std::cout);
   std::cout << "\nExpected shape: CO's rtx/loss stays near 1 (only lost PDUs "
                "resent); TO's grows with the in-flight suffix and loss "
                "rate.\n";
-  return 0;
+  return shape_holds ? 0 : 1;
 }
