@@ -11,8 +11,9 @@ namespace co::proto {
 
 void CoCluster::note_send(EntityId sender, const PduKey& key, bool is_data,
                           sim::SimTime at) {
-  sent_at_.emplace(key, at);
   if (is_data) {
+    // Only data PDUs are delivered, so only their send times are read.
+    sent_at_.emplace(key, at);
     data_sent_.push_back(key);
     auto& pending = pending_dst_[static_cast<std::size_t>(sender)];
     const DstMask dst = pending.empty() ? kEveryone : pending.front();
