@@ -1,7 +1,8 @@
 // Minimal ASCII table emitter for the benchmark harnesses.
 //
 // Every bench binary reproduces one table or figure from the paper; this
-// class renders the rows the same way the paper reports them, on stdout.
+// class renders the rows the same way the paper reports them, and each
+// bench prints it to stdout.
 #pragma once
 
 #include <ostream>
