@@ -305,13 +305,15 @@ bool Shard::poll_once(std::chrono::milliseconds max_wait) {
 
   // Wait for datagrams or a doorbell ring, no longer than the earliest
   // pending timer across every entity on this shard — and not at all
-  // while the post-activity spin window is open (busy-poll keeps pickup
-  // latency in microseconds while traffic is hot).
+  // while the post-activity spin window is open and some exchange on the
+  // shard is open (busy-poll picks up the answer an exchange waits for in
+  // microseconds; see the file comment).
   std::optional<time::Deadline> earliest;
   for (const auto& e : entities_)
     if (const auto next = e->driver_->next_deadline())
       if (!earliest || *next < *earliest) earliest = *next;
-  const bool hot = spin_ns_ > 0 && now - last_activity_ < spin_ns_;
+  const bool hot =
+      exchange_open_ && spin_ns_ > 0 && now - last_activity_ < spin_ns_;
   std::int64_t wait_ns =
       hot ? 0 : clamped_poll_wait_ns(max_wait.count(), now, earliest);
 
@@ -349,10 +351,16 @@ bool Shard::poll_once(std::chrono::milliseconds max_wait) {
     if (activity) last_activity_ = now;
   }
 
+  // A submission still in a ring opens an exchange in the next pass.
   bool quiet = true;
-  for (const auto& e : entities_)
-    quiet &= e->core_->quiescent() && e->submissions_.empty_approx();
+  bool open = false;
+  for (const auto& e : entities_) {
+    const bool ring_empty = e->submissions_.empty_approx();
+    quiet = quiet && ring_empty && e->core_->quiescent();
+    open = open || !ring_empty || e->core_->exchange_open();
+  }
   quiescent_.store(quiet, std::memory_order_relaxed);
+  exchange_open_ = open;
 
   return activity;
 }

@@ -61,10 +61,17 @@
 // seq_cst fence; a producer publishes its push and THEN reads sleeping_
 // behind the same fence — at least one side must see the other, so either
 // the shard aborts the sleep or the producer rings the (level-like)
-// doorbell. While traffic is hot the shard skips sleeping entirely and
-// busy-polls with a zero timeout for a short spin window after the last
-// event (see set_spin), trading a sliver of idle CPU for microsecond
-// pickup latency.
+// doorbell. While an exchange is open — some entity on the shard has data
+// in flight or a last PDU that still owes a successor
+// (CoCore::exchange_open()), or a submission waits in a ring — the shard
+// skips sleeping and busy-polls with a zero timeout for a short spin
+// window after the last event (see set_spin), so the answer the exchange
+// is waiting for is picked up in microseconds. Once every exchange on the
+// shard is closed it sleeps at once: no entity on it waits for an answer,
+// none answers an ack-only PDU before its defer timer, and the data PDU or
+// submission that opens the next exchange wakes it through the socket or
+// the doorbell, at the price of one wake-up. The predicate is read once
+// per pass, in the loop that also publishes quiescent_hint().
 //
 // Tracing: all events a shard emits (wire_tx per flushed frame, wire_rx
 // per datagram, timer, protocol milestones) land on the shard thread, so a
@@ -148,8 +155,10 @@ struct WireStats {
 using DeliverFn = std::function<void(EntityId at, EntityId src,
                                      const std::vector<std::uint8_t>& data)>;
 
-/// Default busy-poll window: how long after the last event a shard keeps
-/// polling with a zero timeout before it sleeps (Shard::set_spin).
+/// Default busy-poll window: how long after the last event a shard with an
+/// open exchange keeps polling with a zero timeout before it sleeps
+/// (Shard::set_spin). HostBuilder::build() uses it when the machine has a
+/// core per shard plus one, and zero otherwise.
 inline constexpr std::chrono::microseconds kDefaultSpin{100};
 
 /// Ceiling on one blocking poll when no timer is pending. Purely a safety
@@ -309,9 +318,9 @@ class Shard {
   /// One event-loop iteration on the CALLER's thread: drain submission
   /// rings, fire due timers, then wait for datagrams or a doorbell ring
   /// (at most `max_wait`, bounded by the earliest pending timer; zero
-  /// while inside the post-activity spin window) and ingest them in
-  /// batches. Every frame packed during the call has left when it returns.
-  /// Returns true if anything happened.
+  /// while inside the post-activity spin window of an open exchange) and
+  /// ingest them in batches. Every frame packed during the call has left
+  /// when it returns. Returns true if anything happened.
   bool poll_once(std::chrono::milliseconds max_wait);
 
   /// Thread body: poll_once until `stop` becomes true, then run one final
@@ -324,10 +333,12 @@ class Shard {
   /// automatically inside EntityRuntime::submit().
   void wake() { wakeup_.notify(); }
 
-  /// Busy-poll window: after any event, the loop polls with a zero
-  /// timeout until `window` has passed without activity, then goes back
-  /// to sleeping in ppoll(2). Zero disables spinning (sleep immediately).
-  /// Call before the shard thread starts.
+  /// Busy-poll window: after any event, while some entity on the shard
+  /// has an open exchange (CoCore::exchange_open()) or a submission waits
+  /// in a ring, the loop polls with a zero timeout until `window` has
+  /// passed without activity; otherwise, and after the window, it sleeps
+  /// in ppoll(2). Zero disables spinning (sleep immediately). Call before
+  /// the shard thread starts.
   void set_spin(std::chrono::microseconds window) {
     spin_ns_ = std::chrono::duration_cast<std::chrono::nanoseconds>(window)
                    .count();
@@ -420,6 +431,9 @@ class Shard {
   std::atomic<bool> sleeping_{false};
   std::int64_t spin_ns_ = kDefaultSpin.count() * 1000;
   time::Tick last_activity_ = 0;
+  // At the end of the last pass: some entity's exchange was open or some
+  // ring held a submission. Gates the spin window.
+  bool exchange_open_ = false;
   std::atomic<bool> quiescent_{false};
 };
 
