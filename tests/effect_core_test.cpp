@@ -1,7 +1,8 @@
 // Effect-level tests for the sans-io core: the exact ArmTimer/CancelTimer
 // stream step() emits (re-arm, cancel-after-fire, pending cleared before
-// dispatch) and the batch semantics (receipt pipeline once per batch,
-// batch-of-one equivalent to the per-message path).
+// dispatch), the batch semantics (receipt pipeline once per batch,
+// batch-of-one equivalent to the per-message path) and which steps the Tco
+// counters time.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -238,6 +239,35 @@ TEST(EffectCore, BatchOfOneMatchesSequentialExactly) {
   }
   EXPECT_EQ(a.next_seq(), b.next_seq());
   EXPECT_EQ(a.stats().pdus_accepted, b.stats().pdus_accepted);
+}
+
+TEST(EffectCore, TcoTimesOnlyStepsThatCarryArrivals) {
+  // Tco is processing_ns / messages_processed: a step of k arrivals counts
+  // k messages and is timed; a step of timer or submit inputs alone is
+  // neither, even when it sends.
+  CoConfig cfg = config3();
+  CoCore core(0, cfg);
+  EffectBatch out;
+  const Input arrivals[] = {arrival(1, make(1, 1, {1, 2, 1})),
+                            arrival(1, make(1, 2, {1, 3, 1})),
+                            arrival(2, make(2, 1, {1, 1, 2}))};
+  core.step(arrivals, 3, out);
+  EXPECT_EQ(core.stats().messages_processed, 3u);
+  EXPECT_GT(core.stats().processing_ns, 0u);
+  core.step(arrival(2, make(2, 2, {1, 3, 3})), out);
+  EXPECT_EQ(core.stats().messages_processed, 4u);
+
+  const std::uint64_t ns = core.stats().processing_ns;
+  const std::uint64_t sent =
+      core.stats().data_pdus_sent + core.stats().ctrl_pdus_sent;
+  core.step(submit({7}), out);
+  core.step(timer(TimerId::kDefer, cfg.defer_timeout), out);
+  const Input others[] = {submit({8}),
+                          timer(TimerId::kDefer, 2 * cfg.defer_timeout)};
+  core.step(others, 2, out);
+  EXPECT_GT(core.stats().data_pdus_sent + core.stats().ctrl_pdus_sent, sent);
+  EXPECT_EQ(core.stats().processing_ns, ns);
+  EXPECT_EQ(core.stats().messages_processed, 4u);
 }
 
 TEST(EffectCore, StepIsNotReentrantButRecoversAfterThrow) {
