@@ -64,7 +64,7 @@ int main() {
   // replies only after the quoted message was DELIVERED at their site.
   const int q1 = say(0, -1, "shall we ship v2 on friday?");
   cluster.run_until_delivered(10'000 * sim::kMillisecond);
-  const int a1 = say(1, q1, "yes, docs are ready");
+  say(1, q1, "yes, docs are ready");
   const int a2 = say(2, q1, "hold on, perf tests still red");
   cluster.run_until_delivered(20'000 * sim::kMillisecond);
   const int a3 = say(3, a2, "red only on the old runner, ignore");

@@ -22,6 +22,11 @@
 // Both modes take the same run opts: [--n N] [--messages M] [--payload B]
 // [--window W] [--loss P] [--seed S] [--link-delay-us D] [--service-us D]
 // [--defer-us D] [--deadline-ms D].
+//
+// Exit status: 0 when the run completed and every output was written and
+// valid; 1 on a CO-service violation, an invalid Prometheus exposition or
+// trace, or a run that hit its deadline before delivering everything (the
+// report is still printed); 2 on a usage or I/O error.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -171,6 +176,7 @@ MergedStage merge_stage(const obs::MetricsSnapshot& snap,
 int cmd_trace(int argc, char** argv) {
   Args a = parse_args(argc, argv, /*trace=*/true);
   std::string trace_path;
+  bool completed = true;  // a converted --from dump has no run
 
   if (a.from) {
     trace_path = *a.from;
@@ -193,6 +199,7 @@ int cmd_trace(int argc, char** argv) {
     const harness::ExperimentResult r = harness::run_co_experiment(a.config);
     tracer.flush();
     os.close();
+    completed = r.completed;
     std::printf("co_inspect: trace run %s in %.3f sim-ms (n=%zu, "
                 "%llu records, %llu dropped) -> %s\n",
                 r.completed ? "completed" : "DEADLINE HIT", r.sim_ms,
@@ -245,7 +252,7 @@ int cmd_trace(int argc, char** argv) {
     obs::trace::write_trace_summary(os, records, parsed.dropped_total());
     std::fputs(os.str().c_str(), stdout);
   }
-  return 0;
+  return completed ? 0 : 1;
 }
 
 }  // namespace
@@ -337,7 +344,7 @@ int main(int argc, char** argv) try {
     std::printf("prometheus dump: %s (validated, %zu series)\n",
                 a.prom_path->c_str(), snap.series.size());
   }
-  return 0;
+  return r.completed ? 0 : 1;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "co_inspect: error: %s\n", e.what());
   return 2;

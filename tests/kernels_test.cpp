@@ -191,8 +191,9 @@ TEST(Kernels, LossScanMatchesScalar) {
           EXPECT_EQ(km_s, km_v) << ctx(ops, n, d, rep);
           EXPECT_EQ(mask_s, mask_v) << ctx(ops, n, d, rep);
           // Contract: unused high bits of the last word are zero.
-          if (n % 64 != 0 && !mask_s.empty())
+          if (n % 64 != 0 && !mask_s.empty()) {
             EXPECT_EQ(mask_s.back() >> (n % 64), 0u) << ctx(ops, n, d, rep);
+          }
         }
       }
     }
@@ -213,8 +214,9 @@ TEST(Kernels, LtMaskMatchesScalar) {
           scalar().lt_mask(a.data(), b.data(), n, mask_s.data());
           ops->lt_mask(a_m.data(), b_m.data(), n, mask_v.data());
           EXPECT_EQ(mask_s, mask_v) << ctx(ops, n, d, rep);
-          if (n % 64 != 0 && !mask_s.empty())
+          if (n % 64 != 0 && !mask_s.empty()) {
             EXPECT_EQ(mask_s.back() >> (n % 64), 0u) << ctx(ops, n, d, rep);
+          }
         }
       }
     }

@@ -189,8 +189,9 @@ TEST(TraceIntegration, SixEntityClusterExportsTracksAndFlows) {
   for (const auto& e : doc.at("traceEvents").as_array()) {
     if (e.at("ph").as_string() != "X") continue;
     const std::string& name = e.at("name").as_string();
-    if (name.rfind("send ", 0) == 0)
+    if (name.rfind("send ", 0) == 0) {
       EXPECT_EQ(e.at("tid").as_u64(), e.at("args").at("origin").as_u64());
+    }
   }
 }
 
