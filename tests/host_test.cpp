@@ -12,9 +12,11 @@
 #include <climits>
 #include <filesystem>
 #include <iostream>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "src/co/wire.h"
 #include "src/host/host.h"
@@ -728,6 +730,96 @@ TEST(HostRuntime, ShardSpinsWhileDataIsUndelivered) {
   for (int retry = 0; retry < 2 && blocked >= 5ms; ++retry)
     blocked = blocked_after_activity(shard);
   EXPECT_LT(blocked, 5ms);
+}
+
+// The records a shard adds to its cores' own: one per submission and one
+// per timer arm, cancel and fire. The benchmark's ledger pairs the k-th
+// submit record of an entity with its k-th data send and counts arms and
+// fires, so their payloads are pinned: a submit names its entity and its
+// payload bytes and comes before the send, an arm carries its absolute
+// deadline in seq and the timer in arg, and a fire names a timer armed
+// before it, at or after that deadline.
+TEST(HostRuntime, ShardTracesSubmitsAndTimers) {
+  using obs::trace::EventId;
+  const proto::CoConfig pcfg = oracle_test_config();
+  obs::trace::Tracer tracer;
+  auto host = HostBuilder(2).proto(pcfg).entity(0).entity(1).tracer(&tracer)
+                  .build();
+  ASSERT_EQ(host->shard_count(), 1u);
+  constexpr std::size_t kPayload = 5;
+  ASSERT_EQ(host->submit(0, std::vector<std::uint8_t>(kPayload, 7)),
+            SubmitResult::kAccepted);
+
+  // Poll until a timer has fired: the defer timer answers the last
+  // ack-only PDU of the exchange a few milliseconds later.
+  const auto of = [](const obs::trace::Record& r) {
+    return static_cast<EventId>(r.event);
+  };
+  std::vector<obs::trace::Record> records;
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (std::none_of(records.begin(), records.end(), [&](const auto& r) {
+    return of(r) == EventId::kTimerFire;
+  })) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    host->shard(0).poll_once(1ms);
+    records = tracer.snapshot();
+  }
+  ASSERT_EQ(tracer.dropped(), 0u);
+
+  std::size_t submits = 0;
+  std::size_t submit_at = records.size();
+  std::size_t data_send_at = records.size();
+  std::size_t arms = 0;
+  std::size_t fires = 0;
+  // The deadline of each (entity, timer) armed and not yet cancelled or
+  // fired.
+  std::map<std::pair<EntityId, std::uint32_t>, time::Tick> armed;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const obs::trace::Record& r = records[i];
+    const auto key = std::make_pair(r.actor, r.arg);
+    switch (of(r)) {
+      case EventId::kSubmit:
+        ++submits;
+        submit_at = i;
+        EXPECT_EQ(r.actor, 0);
+        EXPECT_EQ(r.arg, kPayload);
+        break;
+      case EventId::kSend:
+        if (r.actor == 0 && r.arg == 1 && data_send_at == records.size())
+          data_send_at = i;
+        break;
+      case EventId::kTimerArm: {
+        ++arms;
+        ASSERT_LT(r.arg, proto::kTimerCount);
+        const time::Duration delay =
+            static_cast<proto::TimerId>(r.arg) == proto::TimerId::kDefer
+                ? pcfg.defer_timeout
+                : pcfg.retransmit_timeout;
+        EXPECT_EQ(r.seq, static_cast<std::uint64_t>(r.at + delay));
+        armed[key] = static_cast<time::Tick>(r.seq);
+        break;
+      }
+      case EventId::kTimerCancel:
+        armed.erase(key);
+        break;
+      case EventId::kTimerFire: {
+        ++fires;
+        const auto it = armed.find(key);
+        ASSERT_NE(it, armed.end()) << "E" << r.actor << " timer " << r.arg
+                                   << " fired unarmed at " << r.at;
+        EXPECT_GE(r.at, it->second);
+        armed.erase(it);
+        break;
+      }
+      default:
+        break;
+    }
+  }
+  EXPECT_EQ(submits, 1u);
+  EXPECT_LT(submit_at, data_send_at);
+  EXPECT_LT(data_send_at, records.size());
+  EXPECT_GT(arms, 0u);
+  EXPECT_GT(fires, 0u);
 }
 
 // Hostile input at the shard edge. A decodable message whose src is an
