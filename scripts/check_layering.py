@@ -6,7 +6,8 @@ include only itself, src/common, src/causality and the two header-only
 trace vocabulary files its observer speaks (an allow-list, so nothing else
 reaches the core unchecked); the socket layer src/transport may include
 only itself and src/common (an allow-list, so no protocol node grows back
-under the host); and the realtime driver files may not include src/sim.
+under the host); and the host may not include the simulator, its network
+or its driver.
 Run from anywhere; exits non-zero and prints every violation as
 file:line: include.
 
@@ -17,10 +18,9 @@ Rules (DESIGN.md "Layering"):
   src/obs       -> no src/sim, no src/driver (tracer/metrics/exporters must
                    stay linkable from the realtime path)
   src/transport -> src/transport, src/common
-  src/host      -> no src/sim, no src/net (the sharded host runtime is the
-                   deployable path: real sockets and the realtime driver
-                   only, never the simulated network)
-  src/driver/realtime_driver.*, src/driver/timer_wheel.* -> no src/sim
+  src/host      -> no src/sim, no src/net, no src/driver (the sharded host
+                   runtime is the deployable path: real sockets, its own
+                   timer wheel and step loop, never the simulator)
 """
 from __future__ import annotations
 
@@ -52,9 +52,9 @@ ALLOW_RULES = [
 RULES = [
     (
         "src/host",
-        ("src/sim/", "src/net/"),
-        "the sharded host runtime ships without the simulator: transport, "
-        "realtime driver and obs only",
+        ("src/sim/", "src/net/", "src/driver/"),
+        "the sharded host runtime ships without the simulator: the core, "
+        "transport and obs only",
     ),
     (
         "src/obs",
@@ -62,14 +62,6 @@ RULES = [
         "observability (tracer, metrics, exporters) must stay usable from "
         "the realtime path",
     ),
-]
-
-# Individual realtime files inside src/driver that must stay sim-free
-# (the rest of src/driver IS the sim driver and legitimately uses src/sim).
-REALTIME_DRIVER_FILES = [
-    "src/driver/realtime_driver.h",
-    "src/driver/realtime_driver.cpp",
-    "src/driver/timer_wheel.h",
 ]
 
 
@@ -119,18 +111,6 @@ def main() -> int:
             if inc.startswith(forbidden):
                 violations.append(f"{rel}:{lineno}: {inc}  ({why})")
 
-    for rel in REALTIME_DRIVER_FILES:
-        path = REPO / rel
-        if not path.exists():
-            violations.append(f"{rel}: expected realtime driver file is missing")
-            continue
-        for lineno, inc in includes_of(path):
-            if inc.startswith("src/sim/"):
-                violations.append(
-                    f"{rel}:{lineno}: {inc}  "
-                    "(the realtime driver must not depend on the simulator)"
-                )
-
     if violations:
         print("layering violations:")
         for v in violations:
@@ -138,7 +118,7 @@ def main() -> int:
         return 1
     print(
         "layering: OK (src/co is sans-io; src/transport is the socket layer; "
-        "realtime path is sim-free)"
+        "src/host is sim-free)"
     )
     return 0
 

@@ -8,7 +8,7 @@
 //   driver time/network/app --Input--> CoCore::step --Effect--> driver I/O
 //
 // Drivers: src/driver/sim_driver.h (deterministic simulation, one input per
-// scheduler event), src/driver/realtime_driver.h (UDP transport on a
+// scheduler event), the host shard in src/host/shard.h (UDP sockets and a
 // monotonic-clock timer wheel), and the fuzz driver's effect recorder.
 // There are no callbacks, no virtual dispatch and no std::function on this
 // path; the only observation channel is the synchronous CoObserver, which

@@ -222,7 +222,6 @@ std::unique_ptr<Host> HostBuilder::build() {
     cfg.id = id;
     cfg.proto = proto_;
     cfg.observer = observer_;
-    cfg.tracer = tracer_;
     cfg.submit_queue_capacity = submit_queue_capacity_;
 
     Shard& shard = *host->shards_[i % shard_count];

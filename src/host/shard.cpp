@@ -19,19 +19,15 @@ namespace co::host {
 EntityRuntime::EntityRuntime(EntityRuntimeConfig config, Shard& shard)
     : id_(config.id),
       shard_(shard),
-      tracer_(config.tracer),
       observer_(config.observer),
       submissions_(config.submit_queue_capacity) {
   CO_EXPECT(id_ >= 0 && static_cast<std::size_t>(id_) < config.proto.n);
 
   // Unobserved entities keep the core's null observer: no per-record work.
-  const bool observed = tracer_ != nullptr || observer_ != nullptr;
+  const bool observed = shard_.tracer_ != nullptr || observer_ != nullptr;
   core_ = std::make_unique<proto::CoCore>(
       id_, config.proto,
       observed ? static_cast<proto::CoObserver*>(this) : nullptr);
-  driver_ = std::make_unique<driver::RealtimeDriver>(
-      *core_, static_cast<driver::RealtimeEnv&>(*this));
-  driver_->set_tracer(tracer_);
 }
 
 SubmitResult EntityRuntime::submit(std::vector<std::uint8_t> data,
@@ -55,16 +51,8 @@ SubmitResult EntityRuntime::submit(std::vector<std::uint8_t> data,
   return SubmitResult::kAccepted;
 }
 
-void EntityRuntime::broadcast(const proto::Message& msg) {
-  shard_.broadcast_from(id_, msg);
-}
-
-void EntityRuntime::deliver(const proto::CoPdu& pdu) {
-  shard_.deliver_from(*this, pdu);
-}
-
 void EntityRuntime::on_event(const proto::Record& r) {
-  if (tracer_ != nullptr) tracer_->emit(r);
+  if (shard_.tracer_ != nullptr) shard_.tracer_->emit(r);
   if (observer_ != nullptr) observer_->on_event(r);
 }
 
@@ -160,14 +148,42 @@ void Shard::deliver_from(EntityRuntime& e, const proto::CoPdu& pdu) {
   if (deliver_ != nullptr && *deliver_) (*deliver_)(e.id_, pdu.src, pdu.data);
 }
 
+void Shard::step(EntityRuntime& e, time::Tick now) {
+  using obs::trace::EventId;
+  batch_.clear();
+  e.core_->step(inputs_.data(), inputs_.size(), batch_);
+  inputs_.clear();
+  for (const proto::Effect& effect : batch_.effects) {
+    if (const auto* b = std::get_if<proto::BroadcastEffect>(&effect)) {
+      broadcast_from(e.id_, b->msg);
+    } else if (const auto* d = std::get_if<proto::DeliverEffect>(&effect)) {
+      deliver_from(e, *d->pdu);
+    } else if (const auto* arm = std::get_if<proto::ArmTimerEffect>(&effect)) {
+      // seq carries the absolute deadline so the Perfetto track shows how
+      // far out the timer was armed; arg identifies which timer.
+      if (tracer_ != nullptr)
+        tracer_->emit(EventId::kTimerArm, now, e.id_, kNoEntity,
+                      static_cast<std::uint64_t>(arm->deadline),
+                      static_cast<std::uint32_t>(arm->timer));
+      e.wheel_.arm(arm->timer, arm->deadline);
+    } else {
+      const auto timer = std::get<proto::CancelTimerEffect>(effect).timer;
+      if (tracer_ != nullptr)
+        tracer_->emit(EventId::kTimerCancel, now, e.id_, kNoEntity,
+                      obs::trace::kSeqNone, static_cast<std::uint32_t>(timer));
+      e.wheel_.cancel(timer);
+    }
+  }
+}
+
 void Shard::step_all(const std::vector<proto::MessageArrived>& arrivals,
                      time::Tick now) {
-  // Each entity steps on its own copy (PduRef refcount bumps): the driver
-  // consumes what it is given, and the broadcasts a step triggers land in
-  // local_, never in `arrivals`.
+  // Each entity steps on its own copy (PduRef refcount bumps): the broadcasts
+  // a step triggers land in local_, never in `arrivals`.
   for (auto& e : entities_) {
-    e->arrivals_.assign(arrivals.begin(), arrivals.end());
-    e->driver_->on_messages(e->arrivals_, now);
+    for (const proto::MessageArrived& a : arrivals)
+      inputs_.push_back(proto::Input{now, kAdvertisedFreeBuffer, a});
+    step(*e, now);
   }
 }
 
@@ -191,7 +207,31 @@ bool Shard::drain_submissions(EntityRuntime& e, time::Tick now) {
   EntityRuntime::Submission s;
   for (std::size_t left = e.submissions_.capacity();
        left != 0 && e.submissions_.try_pop(s); --left) {
-    e.driver_->submit(std::move(s.data), s.dst, now);
+    if (tracer_ != nullptr)
+      tracer_->emit(obs::trace::EventId::kSubmit, now, e.id_, kNoEntity,
+                    obs::trace::kSeqNone,
+                    static_cast<std::uint32_t>(
+                        std::min<std::size_t>(s.data.size(), 0xffffffffu)));
+    inputs_.push_back(proto::Input{now, kAdvertisedFreeBuffer,
+                                   proto::AppSubmit{std::move(s.data), s.dst}});
+    step(e, now);
+    any = true;
+  }
+  return any;
+}
+
+bool Shard::fire_timers(EntityRuntime& e, time::Tick now) {
+  // pop_due disarms before the step, so the TimerFired contract holds (the
+  // slot reads non-pending inside the handler). Handlers re-arm with
+  // strictly positive timeouts, so this loop terminates.
+  bool any = false;
+  while (const auto due = e.wheel_.pop_due(now)) {
+    if (tracer_ != nullptr)
+      tracer_->emit(obs::trace::EventId::kTimerFire, now, e.id_, kNoEntity,
+                    obs::trace::kSeqNone, static_cast<std::uint32_t>(*due));
+    inputs_.push_back(
+        proto::Input{now, kAdvertisedFreeBuffer, proto::TimerFired{*due}});
+    step(e, now);
     any = true;
   }
   return any;
@@ -297,7 +337,7 @@ bool Shard::poll_once(std::chrono::milliseconds max_wait) {
   pass_now_ = now;
   for (auto& e : entities_) {
     activity |= drain_submissions(*e, now);
-    activity |= e->driver_->run_timers(now) > 0;
+    activity |= fire_timers(*e, now);
   }
   pump_local(now);
   flush();
@@ -310,7 +350,7 @@ bool Shard::poll_once(std::chrono::milliseconds max_wait) {
   // microseconds; see the file comment).
   std::optional<time::Deadline> earliest;
   for (const auto& e : entities_)
-    if (const auto next = e->driver_->next_deadline())
+    if (const auto next = e->wheel_.next_deadline())
       if (!earliest || *next < *earliest) earliest = *next;
   const bool hot =
       exchange_open_ && spin_ns_ > 0 && now - last_activity_ < spin_ns_;

@@ -2,11 +2,12 @@
 //
 // The sharded host runtime (src/host/host.h) splits its local entities
 // across N shards. A shard owns its entities outright — their sans-io
-// CoCore, the RealtimeDriver + TimerWheel animating each, and the SPSC
-// submission ring application threads feed — and it is the network
-// endpoint: it binds ONE UDP socket that all its entities send and receive
-// through. The shard's event loop touches no shared mutable state and takes
-// no lock:
+// CoCore, the TimerWheel holding each core's timers, and the SPSC
+// submission ring application threads feed. It steps each core itself and
+// replays the effects in emission order (Shard::step), and it is the
+// network endpoint: it binds ONE UDP socket that all its entities send and
+// receive through. The shard's event loop touches no shared mutable state
+// and takes no lock:
 //
 //   app thread --SpscRing--> [shard thread: per entity: drain ring ->
 //                               timers; pump local copies; flush frame]
@@ -74,9 +75,9 @@
 // per pass, in the loop that also publishes quiescent_hint().
 //
 // Tracing: all events a shard emits (wire_tx per flushed frame, wire_rx
-// per datagram, timer, protocol milestones) land on the shard thread, so a
-// Tracer shared across the host gets one lock-free stream per shard thread
-// — the per-thread single-writer design of src/obs/trace, unchanged.
+// per datagram, submit, timer, protocol milestones) land on the shard
+// thread, so a Tracer shared across the host gets one lock-free stream per
+// shard thread — the per-thread single-writer design of src/obs/trace.
 #pragma once
 
 #include <poll.h>
@@ -91,9 +92,10 @@
 #include <vector>
 
 #include "src/co/core.h"
+#include "src/co/effects.h"
 #include "src/common/rng.h"
-#include "src/driver/realtime_driver.h"
 #include "src/host/spsc.h"
+#include "src/host/timer_wheel.h"
 #include "src/host/wakeup.h"
 #include "src/obs/trace/tracer.h"
 #include "src/transport/udp.h"
@@ -186,6 +188,11 @@ std::int64_t clamped_poll_wait_ns(std::int64_t cap_ms, time::Tick now,
 /// Default capacity of an entity's SPSC submission ring.
 inline constexpr std::size_t kDefaultSubmitQueueCapacity = 1024;
 
+/// Free ingress-buffer units every entity advertises as BUF. Real sockets
+/// expose no portable count, so this is a generous constant: the kernel
+/// buffer dwarfs the protocol's 2nW working set.
+inline constexpr BufUnits kAdvertisedFreeBuffer = 1u << 16;
+
 /// Everything one local entity needs, assembled by HostBuilder.
 struct EntityRuntimeConfig {
   EntityId id = kNoEntity;
@@ -193,9 +200,6 @@ struct EntityRuntimeConfig {
   /// Shared user observer (nullable; callbacks run on the shard thread, so
   /// an observer shared across shards must be thread-safe).
   proto::CoObserver* observer = nullptr;
-  /// Shared binary event tracer (nullable; per-thread streams make sharing
-  /// across shards free).
-  obs::trace::Tracer* tracer = nullptr;
   /// Capacity of the SPSC submission ring (rounded up to a power of two).
   std::size_t submit_queue_capacity = kDefaultSubmitQueueCapacity;
 };
@@ -203,7 +207,9 @@ struct EntityRuntimeConfig {
 /// Everything one shard needs, assembled by HostBuilder.
 struct ShardConfig {
   transport::UdpSocket socket;  // already bound: the shard's endpoint
-  /// Shared binary event tracer for the wire records (nullable).
+  /// Shared binary event tracer (nullable; per-thread streams make sharing
+  /// across shards free). It takes the shard's wire and timer records, the
+  /// submit records and its cores' protocol records.
   obs::trace::Tracer* tracer = nullptr;
   /// Test hook: drop outgoing datagrams with this probability — loopback
   /// UDP practically never loses packets. The unit of loss is a whole
@@ -217,12 +223,11 @@ struct ShardConfig {
 
 class Shard;
 
-/// One local entity, owned by its shard: core + driver + submission ring.
-/// Everything except submit() runs on the shard thread. The runtime is its
-/// core's observer while a tracer or an observer is attached: each record
-/// goes to the shard's Tracer stream, then to the shared observer.
-class EntityRuntime final : private driver::RealtimeEnv,
-                            private proto::CoObserver {
+/// One local entity, owned by its shard: core + timer wheel + submission
+/// ring. Everything except submit() runs on the shard thread. The runtime
+/// is its core's observer while a tracer or an observer is attached: each
+/// record goes to the shard's Tracer stream, then to the shared observer.
+class EntityRuntime final : private proto::CoObserver {
  public:
   EntityRuntime(EntityRuntimeConfig config, Shard& shard);
 
@@ -256,12 +261,8 @@ class EntityRuntime final : private driver::RealtimeEnv,
  private:
   friend class Shard;
 
-  // driver::RealtimeEnv — effects fan out through the owning shard.
-  void broadcast(const proto::Message& msg) override;
-  void deliver(const proto::CoPdu& pdu) override;
-
   // proto::CoObserver — the core's records, already stamped with the
-  // shard clock (every driver call passes its `now` as Input::at).
+  // shard clock (every step passes its `now` as Input::at).
   void on_event(const proto::Record& r) override;
 
   struct Submission {
@@ -271,17 +272,14 @@ class EntityRuntime final : private driver::RealtimeEnv,
 
   EntityId id_;
   Shard& shard_;
-  obs::trace::Tracer* tracer_;
   proto::CoObserver* observer_;
   std::unique_ptr<proto::CoCore> core_;
-  std::unique_ptr<driver::RealtimeDriver> driver_;
+  TimerWheel wheel_;
   SpscRing<Submission> submissions_;
   // Cleared by the shard's shutdown drain: producers that observe it false
   // get kStopped instead of pushing into a ring nobody will ever pop.
   std::atomic<bool> accepting_{true};
   std::uint64_t submit_rejected_ = 0;  // producer side
-  // Reused scratch: this entity's copy of the arrivals of one step.
-  std::vector<proto::MessageArrived> arrivals_;
 };
 
 class Shard {
@@ -375,7 +373,15 @@ class Shard {
   /// destination endpoint.
   void send_frame(std::size_t bytes, std::uint32_t msgs);
   void deliver_from(EntityRuntime& e, const proto::CoPdu& pdu);
+  /// Step `e`'s core on inputs_ (consumed) at `now`, then replay its
+  /// effects in emission order: broadcasts to broadcast_from, deliveries to
+  /// deliver_from, timer arms and cancels to e's wheel, each traced.
+  void step(EntityRuntime& e, time::Tick now);
+  /// One step per submission popped from `e`'s ring, one ring's worth at
+  /// most. Returns true if any was popped.
   bool drain_submissions(EntityRuntime& e, time::Tick now);
+  /// One step per timer of `e` due at `now`. Returns true if any fired.
+  bool fire_timers(EntityRuntime& e, time::Tick now);
   bool ingest_socket(time::Tick now);
   /// Every entity on the shard takes `arrivals` as one step.
   void step_all(const std::vector<proto::MessageArrived>& arrivals,
@@ -416,6 +422,10 @@ class Shard {
   // violation, not a recoverable loss.
   std::vector<proto::MessageArrived> local_;
   std::vector<proto::MessageArrived> local_batch_;  // the round being fed
+  // Reused across steps: the inputs of the step being built and the
+  // effects it emitted.
+  std::vector<proto::Input> inputs_;
+  proto::EffectBatch batch_;
   // Reused scratch: the messages of one arriving datagram, and the
   // accepted messages of one receive burst.
   std::vector<proto::Message> rx_frame_;

@@ -1,11 +1,10 @@
-// TimerWheel — the realtime timer store for the sans-io core's one-shot
+// TimerWheel — the host's timer store for one sans-io core's one-shot
 // timers.
 //
 // The core owns a fixed, tiny set of timers (proto::TimerId), so the
 // "wheel" is simply one slot per timer: armed flag + absolute deadline in
-// the driver's clock domain. No allocation, no heap of events, no
-// dependency on the simulator's scheduler — this is what lets the real
-// transport drop its sim::Scheduler crutch.
+// the shard's clock domain. No allocation, no heap of events, no
+// dependency on the simulator's scheduler.
 #pragma once
 
 #include <cstddef>
@@ -15,7 +14,7 @@
 #include "src/co/effects.h"
 #include "src/co/time.h"
 
-namespace co::driver {
+namespace co::host {
 
 class TimerWheel {
  public:
@@ -74,4 +73,4 @@ class TimerWheel {
   std::uint64_t arm_seq_ = 0;
 };
 
-}  // namespace co::driver
+}  // namespace co::host

@@ -1,7 +1,8 @@
 // Driver equivalence: the SAME input timeline produces the byte-identical
 // effect stream whether the core is animated by the SimDriver (timers on
-// the discrete-event scheduler) or driven directly through step() with a
-// TimerWheel — the two halves of the sans-io split.
+// the discrete-event scheduler) or driven directly through step() with the
+// host's TimerWheel, as a host shard drives it — the two halves of the
+// sans-io split.
 //
 // Timelines are generated from seeds: pseudorandom arrivals (with injected
 // gaps, so RET/retransmit-timer machinery engages), submits, and the timer
@@ -16,8 +17,8 @@
 #include "src/common/rng.h"
 #include "src/co/core.h"
 #include "src/driver/sim_driver.h"
-#include "src/driver/timer_wheel.h"
 #include "src/fuzz/effect_log.h"
+#include "src/host/timer_wheel.h"
 #include "src/sim/scheduler.h"
 
 namespace co::proto {
@@ -112,7 +113,7 @@ void run_sim_side(const std::vector<Op>& ops, time::Tick horizon,
 void run_direct_side(const std::vector<Op>& ops, time::Tick horizon,
                      fuzz::EffectRecorder& tap) {
   CoCore core(0, config3());
-  driver::TimerWheel wheel;
+  host::TimerWheel wheel;
   EffectBatch batch;
 
   auto dispatch = [&](Input input, time::Tick now) {

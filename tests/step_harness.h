@@ -1,28 +1,28 @@
 // StepHarness — drives one sans-io CoCore for unit tests.
 //
 // The harness plays the role of a driver: it stamps every input with a
-// manually advanced clock, runs the core through a RealtimeDriver (so the
-// TimerWheel replay path gets unit coverage for free), and records every
-// Broadcast/Deliver effect plus the observer milestones the old
-// CoEnvironment mock used to capture.
+// manually advanced clock, steps the core directly, replays the timer
+// effects into the host's TimerWheel, and records every Broadcast/Deliver
+// effect plus the observer milestones the old CoEnvironment mock used to
+// capture.
 #pragma once
 
 #include <cstdint>
+#include <variant>
 #include <vector>
 
 #include "src/causality/pdu_key.h"
 #include "src/co/core.h"
+#include "src/co/effects.h"
 #include "src/co/time.h"
-#include "src/driver/realtime_driver.h"
+#include "src/host/timer_wheel.h"
 
 namespace co::proto {
 
-class StepHarness final : public driver::RealtimeEnv {
+class StepHarness {
  public:
   StepHarness(EntityId self, const CoConfig& config, BufUnits free_buf = 4096)
-      : free_buf_(free_buf),
-        core_(self, config, &recorder_),
-        driver_(core_, *this) {
+      : free_buf_(free_buf), core_(self, config, &recorder_) {
     recorder_.owner = this;
   }
 
@@ -31,26 +31,24 @@ class StepHarness final : public driver::RealtimeEnv {
   // --- Inputs, stamped with the harness clock ------------------------------
 
   void on_message(EntityId from, const Message& msg) {
-    driver_.on_message(from, msg, now_);
+    step(MessageArrived{from, msg});
   }
   void submit(std::vector<std::uint8_t> data, DstMask dst = kEveryone) {
-    driver_.submit(std::move(data), dst, now_);
+    step(AppSubmit{std::move(data), dst});
   }
-  void tick() { driver_.tick(now_); }
 
-  /// Advance the clock to `deadline_time`, firing every timer at its exact
-  /// deadline (mirroring the scheduler's run_until semantics).
+  /// Advance the clock to `t`, firing every timer at its exact deadline
+  /// (mirroring the scheduler's run_until semantics).
   void run_until(time::Tick t) {
-    while (const auto next = driver_.next_deadline()) {
+    while (const auto next = wheel_.next_deadline()) {
       if (*next > t) break;
       if (*next > now_) now_ = *next;
-      driver_.run_timers(now_);
+      while (const auto due = wheel_.pop_due(now_)) step(TimerFired{*due});
     }
     if (t > now_) now_ = t;
   }
 
   time::Tick now() const { return now_; }
-  void set_free_buffer(BufUnits b) { free_buf_ = b; }
 
   // --- Recorded outputs -----------------------------------------------------
 
@@ -80,10 +78,22 @@ class StepHarness final : public driver::RealtimeEnv {
   }
 
  private:
-  // driver::RealtimeEnv
-  void broadcast(const Message& msg) override { broadcasts.push_back(msg); }
-  void deliver(const CoPdu& pdu) override { delivered.push_back(pdu); }
-  BufUnits free_buffer() override { return free_buf_; }
+  /// One input at the harness clock; the effects are replayed in emission
+  /// order.
+  void step(decltype(Input::event) event) {
+    batch_.clear();
+    core_.step(Input{now_, free_buf_, std::move(event)}, batch_);
+    for (const Effect& effect : batch_) {
+      if (const auto* b = std::get_if<BroadcastEffect>(&effect))
+        broadcasts.push_back(b->msg);
+      else if (const auto* d = std::get_if<DeliverEffect>(&effect))
+        delivered.push_back(*d->pdu);
+      else if (const auto* arm = std::get_if<ArmTimerEffect>(&effect))
+        wheel_.arm(arm->timer, arm->deadline);
+      else
+        wheel_.cancel(std::get<CancelTimerEffect>(effect).timer);
+    }
+  }
 
   struct Recorder final : CoObserver {
     StepHarness* owner = nullptr;
@@ -100,7 +110,8 @@ class StepHarness final : public driver::RealtimeEnv {
   BufUnits free_buf_;
   Recorder recorder_;
   CoCore core_;
-  driver::RealtimeDriver driver_;
+  host::TimerWheel wheel_;
+  EffectBatch batch_;  // reused across steps
 };
 
 }  // namespace co::proto

@@ -1,10 +1,10 @@
-// Unit tests for the realtime TimerWheel: arm/cancel/pop semantics the
-// RealtimeDriver's effect replay relies on.
+// Unit tests for the host's TimerWheel: arm/cancel/pop semantics the
+// shard's effect replay relies on.
 #include <gtest/gtest.h>
 
-#include "src/driver/timer_wheel.h"
+#include "src/host/timer_wheel.h"
 
-namespace co::driver {
+namespace co::host {
 namespace {
 
 using proto::TimerId;
@@ -81,4 +81,4 @@ TEST(TimerWheel, PastDeadlinesFireOnNextPop) {
 }
 
 }  // namespace
-}  // namespace co::driver
+}  // namespace co::host
