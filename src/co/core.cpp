@@ -113,22 +113,16 @@ bool CoCore::apply(const Input& input) {
     }
     return false;
   }
-  if (const auto* submit = std::get_if<AppSubmit>(&input.event)) {
-    CO_EXPECT_MSG(!submit->data.empty(), "DT request must carry data");
-    CO_EXPECT_MSG(submit->dst == kEveryone || config_.n <= kMaxSelectiveEntities,
-                  "selective destinations support clusters up to "
-                      << kMaxSelectiveEntities
-                      << " entities (DstMask has one bit per entity)");
-    // const_cast: AppSubmit payloads are consumed exactly once; stealing the
-    // vector keeps the submit path allocation-free for the caller.
-    auto& data = const_cast<AppSubmit*>(submit)->data;
-    app_queue_.push_back(DtRequest{std::move(data), submit->dst});
-    send_pending_data();
-    return false;
-  }
-  // Tick: idle pump.
+  // const_cast: AppSubmit payloads are consumed exactly once; stealing the
+  // vector keeps the submit path allocation-free for the caller.
+  auto& submit = const_cast<AppSubmit&>(std::get<AppSubmit>(input.event));
+  CO_EXPECT_MSG(!submit.data.empty(), "DT request must carry data");
+  CO_EXPECT_MSG(submit.dst == kEveryone || config_.n <= kMaxSelectiveEntities,
+                "selective destinations support clusters up to "
+                    << kMaxSelectiveEntities
+                    << " entities (DstMask has one bit per entity)");
+  app_queue_.push_back(DtRequest{std::move(submit.data), submit.dst});
   send_pending_data();
-  maybe_confirm_now();
   return false;
 }
 

@@ -1,7 +1,7 @@
 // Inputs and effects — the sans-io boundary of the CO core.
 //
 // The core never performs I/O. A driver hands it a batch of Inputs (PDU
-// arrivals, timer firings, application DT requests, idle ticks), each
+// arrivals, timer firings, application DT requests), each
 // stamped with the current time and the entity's free ingress-buffer count,
 // and the core appends typed Effects (broadcast, deliver, arm/cancel timer)
 // to a caller-owned EffectBatch. The driver then replays the effects into
@@ -64,10 +64,6 @@ struct AppSubmit {
   DstMask dst = kEveryone;
 };
 
-/// Idle tick: retry queued DT requests and the confirmation decision (used
-/// by tests and drivers that want to poke the core without new input).
-struct Tick {};
-
 /// One unit of work for CoCore::step. `at` is the driver's current time;
 /// `free_buffer` is this entity's free ingress-buffer units at that instant
 /// (advertised as BUF in outgoing PDUs). All inputs of one batch should
@@ -75,7 +71,7 @@ struct Tick {};
 struct Input {
   time::Tick at = 0;
   BufUnits free_buffer = 0;
-  std::variant<MessageArrived, TimerFired, AppSubmit, Tick> event;
+  std::variant<MessageArrived, TimerFired, AppSubmit> event;
 };
 
 // --- Effects ---------------------------------------------------------------

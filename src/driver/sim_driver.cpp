@@ -26,11 +26,6 @@ void SimDriver::submit(std::vector<std::uint8_t> data, proto::DstMask dst) {
                         proto::AppSubmit{std::move(data), dst}});
 }
 
-void SimDriver::tick() {
-  dispatch(
-      proto::Input{sched_.now(), hooks_.free_buffer(), proto::Tick{}});
-}
-
 void SimDriver::on_timer(proto::TimerId timer) {
   // The handle that fired is already spent (the scheduler marks it before
   // running the action), so the slot is naturally non-pending here — the

@@ -56,9 +56,6 @@ class SimDriver {
   /// Application DT request.
   void submit(std::vector<std::uint8_t> data, proto::DstMask dst);
 
-  /// Idle pump (retry queued data + the confirmation decision).
-  void tick();
-
   proto::CoCore& core() { return core_; }
 
  private:
