@@ -71,21 +71,22 @@ constexpr KernelOps kScalarOps = {
 
 }  // namespace
 
-// Provided by the per-ISA translation units (x86-64 only).
+// Provided by kernels_avx2.cpp (x86-64 only); null when the compiler could
+// not build the backend.
 #if defined(__x86_64__) || defined(_M_X64)
-const KernelOps& sse2_ops();
-const KernelOps& avx2_ops();
+const KernelOps* avx2_ops();
 #endif
 
 namespace {
 
-bool avx2_runnable() {
+/// The AVX2 backend when this build has it and the CPU can run it, else
+/// null.
+const KernelOps* runnable_avx2() {
 #if (defined(__x86_64__) || defined(_M_X64)) && defined(__GNUC__)
   __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
+  if (__builtin_cpu_supports("avx2")) return avx2_ops();
 #endif
+  return nullptr;
 }
 
 bool force_scalar_env() {
@@ -95,12 +96,8 @@ bool force_scalar_env() {
 
 const KernelOps* pick() {
   if (force_scalar_env()) return &kScalarOps;
-#if defined(__x86_64__) || defined(_M_X64)
-  if (avx2_runnable()) return &avx2_ops();
-  return &sse2_ops();  // SSE2 is the x86-64 baseline: always runnable
-#else
+  if (const KernelOps* avx2 = runnable_avx2()) return avx2;
   return &kScalarOps;
-#endif
 }
 
 }  // namespace
@@ -112,19 +109,13 @@ const KernelOps& selected() {
 
 const KernelOps* by_name(std::string_view name) {
   if (name == "scalar") return &kScalarOps;
-#if defined(__x86_64__) || defined(_M_X64)
-  if (name == "sse2") return &sse2_ops();
-  if (name == "avx2" && avx2_runnable()) return &avx2_ops();
-#endif
+  if (name == "avx2") return runnable_avx2();
   return nullptr;
 }
 
 std::vector<const KernelOps*> available() {
   std::vector<const KernelOps*> out{&kScalarOps};
-#if defined(__x86_64__) || defined(_M_X64)
-  out.push_back(&sse2_ops());
-  if (avx2_runnable()) out.push_back(&avx2_ops());
-#endif
+  if (const KernelOps* avx2 = runnable_avx2()) out.push_back(avx2);
   return out;
 }
 

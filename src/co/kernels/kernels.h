@@ -5,15 +5,16 @@
 // AL/PAL row, refreshing the column minima those rows feed, the failure
 // condition F(2) scan, the PACK-candidate sweep over per-source RRL heads,
 // and the causal pre-ack gate. This header exposes those loops as a table
-// of function pointers (KernelOps) with three interchangeable backends:
+// of function pointers (KernelOps) with two interchangeable backends:
 //
-//   scalar  portable C++, the reference semantics (always available);
-//   sse2    x86-64 baseline vectors, 2 lanes per op;
-//   avx2    4 lanes per op (runtime cpuid-gated).
+//   scalar  portable C++, the reference semantics and the fallback
+//           wherever AVX2 is not available (always available);
+//   avx2    x86-64, 4 lanes per op (runtime cpuid-gated, and built only
+//           when the compiler takes -mavx2).
 //
 // Selection happens ONCE per process (selected()): the environment variable
 // CO_FORCE_SCALAR (set to anything but "0") pins the scalar backend, else
-// the best backend the CPU supports wins. Tests and the fuzz harness can
+// AVX2 wins when the build has it and the CPU supports it. Tests and the fuzz harness can
 // instead pin a backend per-core through CoConfig::kernels, which is how
 // the scalar-vs-SIMD differential and digest-equivalence suites compare
 // backends inside one process.
@@ -80,12 +81,13 @@ struct KernelOps {
   bool (*all_set)(const std::uint8_t* flags, std::size_t n, std::size_t skip);
 };
 
-/// The process-wide backend: CO_FORCE_SCALAR pins scalar, else the best
-/// backend the CPU supports. Resolved once, on first call.
+/// The process-wide backend: CO_FORCE_SCALAR pins scalar, else AVX2 when
+/// this build has it and the CPU supports it, else scalar. Resolved once,
+/// on first call.
 const KernelOps& selected();
 
-/// Backend by name ("scalar", "sse2", "avx2"); nullptr when that backend is
-/// not compiled in or the CPU cannot run it.
+/// Backend by name ("scalar", "avx2"); nullptr when that backend is not
+/// compiled in or the CPU cannot run it.
 const KernelOps* by_name(std::string_view name);
 
 /// Every backend runnable on this machine (scalar first). The differential

@@ -8,13 +8,11 @@
 #if defined(__x86_64__) || defined(_M_X64)
 #if !defined(__AVX2__)
 // Compiler lacks -mavx2 (the build system only sets it when supported):
-// degrade to the SSE2 backend so the symbol still links. pick() will hand
-// out SSE2 semantics under the AVX2 slot, which is correct, just slower.
+// this build has no AVX2 backend, so selected() stays on scalar.
 #include "src/co/kernels/kernels.h"
 
 namespace co::proto::kern {
-const KernelOps& sse2_ops();
-const KernelOps& avx2_ops() { return sse2_ops(); }
+const KernelOps* avx2_ops() { return nullptr; }
 }  // namespace co::proto::kern
 #else
 
@@ -182,7 +180,7 @@ constexpr KernelOps kAvx2Ops = {
 
 }  // namespace
 
-const KernelOps& avx2_ops() { return kAvx2Ops; }
+const KernelOps* avx2_ops() { return &kAvx2Ops; }
 
 }  // namespace co::proto::kern
 
