@@ -13,9 +13,7 @@
 //   * NullTraceSink discards batches (bench reference for "tracer attached,
 //     sink costs nothing").
 //
-// Compile-time kill switch: building with -DCO_TRACE_DISABLED compiles
-// Tracer::emit() to nothing, for deployments that want the subsystem
-// linkable but provably off the hot path.
+// Tracing off is a null Tracer* at the call site, not a sink.
 #pragma once
 
 #include <cstddef>

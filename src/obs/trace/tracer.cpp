@@ -31,9 +31,7 @@ Tracer::Tracer(TracerConfig config, TraceSink* sink)
     : epoch_(next_epoch()),
       config_(config),
       sink_(sink),
-      watermark_(config.drain_watermark != 0 ? config.drain_watermark
-                                             : config.ring_capacity / 2),
-      enabled_(config.start_enabled) {
+      watermark_(config.ring_capacity / 2) {
   if (watermark_ == 0) watermark_ = 1;
 }
 

@@ -3,26 +3,25 @@
 // One Tracer serves any number of writer threads: the first emit() from a
 // thread registers a TraceRing stream for it (mutex-protected, once per
 // thread) and caches the stream in a thread_local slot, so the steady-state
-// emit is: one relaxed enabled check, one thread_local read, one 32-byte
-// slot store, one release index store. No locks, no allocation.
+// emit is: one thread_local read, one 32-byte slot store, one release index
+// store. No locks, no allocation. A null Tracer* is the off switch: every
+// call site checks it before emitting.
 //
 // Modes (TracerConfig):
 //   * flight recorder (overwrite_oldest = true, the default): rings keep
 //     the newest `ring_capacity` records per thread forever; on a fuzz
 //     oracle violation / harness invariant failure / fatal signal the
 //     resident tail is dumped via write_snapshot()/install_crash_dump().
-//   * streaming (overwrite_oldest = false, sink != nullptr): rings are
-//     drained into the TraceSink at a watermark, so a full run's events
-//     reach a .cotrace file; ring drops then mean "sink too slow".
+//   * streaming (overwrite_oldest = false, sink != nullptr): a ring is
+//     drained into the TraceSink once half of it is resident, so a full
+//     run's events reach a .cotrace file; ring drops then mean "sink too
+//     slow".
 //
 // Quiesce contract: flush()/snapshot()/write_snapshot() read other
 // threads' rings and require their writers to have quiesced (joined, or a
 // happens-before edge established by the caller). Single-threaded drivers
 // (the simulator, the fuzzer) satisfy this trivially. Live counter reads
 // (appended/dropped) are always safe, possibly momentarily stale.
-//
-// Building with -DCO_TRACE_DISABLED compiles emit() to nothing (the
-// null-sink-level API stays linkable, so embedders can keep call sites).
 #pragma once
 
 #include <cstdint>
@@ -47,11 +46,9 @@ struct TracerConfig {
   /// The default keeps ~16k events * 32 B = 512 KiB per writer thread.
   std::size_t ring_capacity = std::size_t{1} << 14;
   /// true: flight recorder (ring keeps the newest records, dropped() counts
-  /// overwrites). false: streaming (drained into the sink at a watermark).
+  /// overwrites). false: streaming (drained into the sink once half the
+  /// ring is resident).
   bool overwrite_oldest = true;
-  /// Records resident before a streaming drain; 0 = ring_capacity / 2.
-  std::size_t drain_watermark = 0;
-  bool start_enabled = true;
 };
 
 class Tracer {
@@ -61,11 +58,6 @@ class Tracer {
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
-
-  void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// The hot path. (origin, seq) is the subject PDU's causal identity
   /// (kNoEntity/kSeqNone when the event has no PDU subject); actor is the
@@ -85,17 +77,12 @@ class Tracer {
   /// Append a record built elsewhere (a CoCore milestone); the tracer
   /// stamps its own stream id over `r.stream`.
   void emit(Record r) {
-#ifdef CO_TRACE_DISABLED
-    (void)r;
-#else
-    if (!enabled()) return;
     Stream& s = local_stream();
     r.stream = s.id;
     s.ring.append(r);
     if (sink_ != nullptr && !config_.overwrite_oldest &&
         s.ring.size() >= watermark_)
       drain_stream(s);
-#endif
   }
 
   /// Live totals across all streams (relaxed; may be momentarily stale).
@@ -142,8 +129,7 @@ class Tracer {
   const std::uint64_t epoch_;  // process-unique; validates tls caches
   TracerConfig config_;
   TraceSink* sink_;
-  std::size_t watermark_;
-  std::atomic<bool> enabled_;
+  std::size_t watermark_;  // records resident before a streaming drain
   mutable std::mutex mutex_;  // guards streams_ registration + sink writes
   std::vector<std::unique_ptr<Stream>> streams_;
   std::vector<Record> scratch_;  // drain buffer (reused, mutex-guarded)

@@ -299,17 +299,6 @@ TEST(Tracer, EmitsIntoFlightRingAndSnapshotsSorted) {
   EXPECT_EQ(snap[2].seq, 3u);
 }
 
-TEST(Tracer, DisabledEmitsNothing) {
-  TracerConfig config;
-  config.start_enabled = false;
-  Tracer tracer(config);
-  tracer.emit(EventId::kSend, 1, 0, 0, 1);
-  EXPECT_EQ(tracer.appended(), 0u);
-  tracer.set_enabled(true);
-  tracer.emit(EventId::kSend, 2, 0, 0, 2);
-  EXPECT_EQ(tracer.appended(), 1u);
-}
-
 TEST(Tracer, FlightModeKeepsNewestTail) {
   TracerConfig config;
   config.ring_capacity = 8;
