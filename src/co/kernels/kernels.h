@@ -14,10 +14,10 @@
 //
 // Selection happens ONCE per process (selected()): the environment variable
 // CO_FORCE_SCALAR (set to anything but "0") pins the scalar backend, else
-// AVX2 wins when the build has it and the CPU supports it. Tests and the fuzz harness can
-// instead pin a backend per-core through CoConfig::kernels, which is how
-// the scalar-vs-SIMD differential and digest-equivalence suites compare
-// backends inside one process.
+// AVX2 wins when the build has it and the CPU supports it. Tests and the
+// fuzz harness can instead pin a backend per-core through
+// CoConfig::kernels, which is how the scalar-vs-SIMD differential and
+// digest-equivalence suites compare backends inside one process.
 //
 // Contract: every backend computes BIT-IDENTICAL results for all inputs,
 // including mod-2^64 sequence wrap (all comparisons are unsigned 64-bit),
