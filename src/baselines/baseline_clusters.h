@@ -1,5 +1,6 @@
-// Ready-made cluster wiring for the three baseline protocols, mirroring
-// proto::CoCluster so tests and benches can swap protocols symmetrically.
+// Ready-made cluster wiring for the two baseline protocols, the paper's
+// comparators ISIS CBCAST and TO, mirroring proto::CoCluster so tests and
+// benches can swap protocols symmetrically.
 #pragma once
 
 #include <memory>
@@ -7,7 +8,6 @@
 #include <vector>
 
 #include "src/baselines/cbcast.h"
-#include "src/baselines/po_protocol.h"
 #include "src/baselines/to_protocol.h"
 #include "src/causality/checkers.h"
 #include "src/causality/trace.h"
@@ -172,86 +172,6 @@ class ToCluster {
   std::vector<std::unique_ptr<ToEntity>> entities_;
   std::vector<causality::DeliveryLog> logs_;
   std::uint64_t sent_ = 0;
-};
-
-/// PO protocol (LO service) over the MC network.
-class PoCluster {
- public:
-  PoCluster(std::size_t n, net::McConfig net_config,
-            sim::SimDuration nak_timeout = 2 * sim::kMillisecond)
-      : logs_(n), trace_(n) {
-    net_config.n = n;
-    network_ = std::make_unique<net::McNetwork<PoMessage>>(sched_, net_config);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto id = static_cast<EntityId>(i);
-      entities_.push_back(std::make_unique<PoEntity>(
-          id, n, nak_timeout,
-          [this, id](PoMessage m) { network_->broadcast(id, std::move(m)); },
-          [this, id](const PoPdu& p) {
-            logs_[static_cast<std::size_t>(id)].push_back(p.key());
-            trace_.on_accept(id, p.key());
-          },
-          [this](sim::SimDuration d, std::function<void()> fn) {
-            sched_.schedule_after(d, std::move(fn));
-          }));
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto id = static_cast<EntityId>(i);
-      network_->attach(id, [this, id](EntityId from, const PoMessage& m) {
-        entities_[static_cast<std::size_t>(id)]->on_message(from, m);
-      });
-    }
-  }
-
-  void broadcast(EntityId i, std::vector<std::uint8_t> data) {
-    const causality::PduKey key{i, next_seq_of(i)};
-    trace_.on_send(i, key);
-    sent_.push_back(key);
-    entities_[static_cast<std::size_t>(i)]->broadcast(std::move(data));
-  }
-  void broadcast_text(EntityId i, std::string_view text) {
-    broadcast(i, std::vector<std::uint8_t>(text.begin(), text.end()));
-  }
-
-  sim::Scheduler& scheduler() { return sched_; }
-  net::McNetwork<PoMessage>& network() { return *network_; }
-  PoEntity& entity(EntityId i) {
-    return *entities_[static_cast<std::size_t>(i)];
-  }
-  const causality::TraceRecorder& oracle() const { return trace_; }
-  const causality::DeliveryLog& log(EntityId i) const {
-    return logs_[static_cast<std::size_t>(i)];
-  }
-  std::vector<causality::DeliveryLog> logs() const { return logs_; }
-  const std::vector<causality::PduKey>& sent() const { return sent_; }
-
-  bool all_delivered() const {
-    for (const auto& l : logs_)
-      if (l.size() != sent_.size()) return false;
-    return true;
-  }
-
-  bool run(sim::SimTime deadline) {
-    while (!all_delivered() && !sched_.idle() && sched_.now() <= deadline)
-      sched_.step();
-    return all_delivered();
-  }
-
- private:
-  SeqNo next_seq_of(EntityId i) const {
-    // PDUs we have broadcast from i so far + 1 (kFirstSeq-based).
-    SeqNo count = 0;
-    for (const auto& k : sent_)
-      if (k.src == i) ++count;
-    return kFirstSeq + count;
-  }
-
-  sim::Scheduler sched_;
-  std::unique_ptr<net::McNetwork<PoMessage>> network_;
-  std::vector<std::unique_ptr<PoEntity>> entities_;
-  std::vector<causality::DeliveryLog> logs_;
-  std::vector<causality::PduKey> sent_;
-  causality::TraceRecorder trace_;
 };
 
 }  // namespace co::baselines

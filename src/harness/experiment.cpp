@@ -134,49 +134,4 @@ ExperimentResult run_to_experiment(const ExperimentConfig& config) {
   return r;
 }
 
-ExperimentResult run_po_experiment(const ExperimentConfig& config) {
-  net::McConfig net_config;
-  net_config.n = config.n;
-  net_config.delay = net::DelayModel::fixed(config.link_delay);
-  net_config.buffer_capacity = config.buffer_capacity;
-  net_config.service_time = config.service_time;
-  net_config.injected_loss = config.injected_loss;
-  net_config.seed = config.seed;
-  baselines::PoCluster cluster(config.n, net_config,
-                               config.retransmit_timeout);
-  app::WorkloadDriver workload(
-      cluster.scheduler(), config.n, config.workload,
-      [&cluster](EntityId e, std::vector<std::uint8_t> data) {
-        cluster.broadcast(e, std::move(data));
-      });
-  workload.start();
-
-  ExperimentResult r;
-  r.completed = run_sim(cluster.scheduler(), config.deadline, [&] {
-    return workload.finished() && cluster.all_delivered();
-  });
-  r.sim_ms = sim::to_ms(cluster.scheduler().now());
-  std::uint64_t delivered = 0;
-  std::uint64_t processing_ns = 0;
-  for (std::size_t i = 0; i < config.n; ++i) {
-    const auto& s = cluster.entity(static_cast<EntityId>(i)).stats();
-    delivered += s.delivered;
-    processing_ns += s.processing_ns;
-    r.data_pdus += s.data_pdus_sent;
-    r.ret_pdus += s.ret_pdus_sent;
-    r.retransmissions += s.retransmissions_sent;
-  }
-  r.tco_us = delivered ? static_cast<double>(processing_ns) / 1e3 /
-                             static_cast<double>(delivered)
-                       : 0.0;
-  const auto& ns = cluster.network().stats();
-  r.wire_pdus = ns.pdus_sent;
-  r.dropped_overrun = ns.dropped_overrun;
-  r.dropped_injected = ns.dropped_injected;
-  if (r.sim_ms > 0.0)
-    r.delivered_msgs_per_sim_s =
-        static_cast<double>(delivered) / (r.sim_ms / 1e3);
-  return r;
-}
-
 }  // namespace co::harness

@@ -85,8 +85,4 @@ ExperimentResult run_co_experiment(const ExperimentConfig& config);
 /// are zero.
 ExperimentResult run_to_experiment(const ExperimentConfig& config);
 
-/// Run the PO baseline (LO service, selective retransmission, immediate
-/// delivery) under an equivalent configuration.
-ExperimentResult run_po_experiment(const ExperimentConfig& config);
-
 }  // namespace co::harness

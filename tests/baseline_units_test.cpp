@@ -1,9 +1,8 @@
-// Entity-level unit tests for the three baseline protocols (the
+// Entity-level unit tests for the two baseline protocols (the
 // integration behaviour is covered by baselines_test.cpp).
 #include <gtest/gtest.h>
 
 #include "src/baselines/cbcast.h"
-#include "src/baselines/po_protocol.h"
 #include "src/baselines/to_protocol.h"
 #include "src/sim/scheduler.h"
 
@@ -170,80 +169,6 @@ TEST(ToEntityTest, StatusTriggersGoBackRequest) {
   const auto& ret = std::get<ToRet>(env.broadcasts.back());
   EXPECT_EQ(ret.lsrc, 0);
   EXPECT_EQ(ret.from, 1u);
-}
-
-// --- PO (LO service) ----------------------------------------------------------
-
-struct PoEnv {
-  sim::Scheduler sched;
-  std::vector<PoMessage> broadcasts;
-  std::vector<causality::PduKey> delivered;
-
-  PoEntity make(EntityId self, std::size_t n) {
-    return PoEntity(
-        self, n, 1 * sim::kMillisecond,
-        [this](PoMessage m) { broadcasts.push_back(std::move(m)); },
-        [this](const PoPdu& p) { delivered.push_back(p.key()); },
-        [this](sim::SimDuration d, std::function<void()> fn) {
-          sched.schedule_after(d, std::move(fn));
-        });
-  }
-};
-
-PoPdu po_pdu(EntityId src, SeqNo seq, std::vector<SeqNo> ack) {
-  PoPdu p;
-  p.src = src;
-  p.seq = seq;
-  p.ack = std::move(ack);
-  p.data = {1};
-  return p;
-}
-
-TEST(PoEntityTest, DeliversImmediatelyOnAcceptance) {
-  PoEnv env;
-  auto e = env.make(0, 3);
-  e.on_message(1, PoMessage(po_pdu(1, 1, {1, 1, 1})));
-  EXPECT_EQ(env.delivered.size(), 1u);  // no causal wait — LO service
-}
-
-TEST(PoEntityTest, ParksOutOfOrderAndRequestsOnlyTheHole) {
-  PoEnv env;
-  auto e = env.make(0, 3);
-  e.on_message(1, PoMessage(po_pdu(1, 3, {1, 4, 1})));
-  EXPECT_EQ(env.delivered.size(), 0u);
-  EXPECT_EQ(e.stats().parked_out_of_order, 1u);
-  const auto& ret = std::get<PoRet>(env.broadcasts.back());
-  EXPECT_EQ(ret.from, 1u);
-  EXPECT_EQ(ret.upto, 3u);  // only [1,3): seq 3 itself is parked
-  // Hole fills: 1, 2 accepted, parked 3 drains.
-  e.on_message(1, PoMessage(po_pdu(1, 1, {1, 2, 1})));
-  e.on_message(1, PoMessage(po_pdu(1, 2, {1, 3, 1})));
-  EXPECT_EQ(env.delivered.size(), 3u);
-}
-
-TEST(PoEntityTest, RetransmitsExactRange) {
-  PoEnv env;
-  auto e = env.make(0, 2);
-  for (int i = 0; i < 5; ++i) e.broadcast({1});
-  env.broadcasts.clear();
-  e.on_message(1, PoMessage(PoRet{1, 0, 2, 4}));  // wants [2,4)
-  std::size_t resent = 0;
-  for (const auto& m : env.broadcasts)
-    if (std::holds_alternative<PoPdu>(m)) ++resent;
-  EXPECT_EQ(resent, 2u);
-}
-
-TEST(PoEntityTest, AckFieldsRevealThirdPartyLossViaTimer) {
-  PoEnv env;
-  auto e = env.make(0, 3);
-  // E1's PDU says E2 has sent up to #2 (ack[2] = 3); we have nothing of E2.
-  e.on_message(1, PoMessage(po_pdu(1, 1, {1, 2, 3})));
-  env.sched.run_until(env.sched.now() + 3 * sim::kMillisecond);
-  bool asked_e2 = false;
-  for (const auto& m : env.broadcasts)
-    if (const auto* r = std::get_if<PoRet>(&m))
-      if (r->lsrc == 2) asked_e2 = true;
-  EXPECT_TRUE(asked_e2);
 }
 
 }  // namespace

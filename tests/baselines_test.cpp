@@ -1,4 +1,4 @@
-// Baseline protocol tests: ISIS CBCAST, TO (go-back-n), PO (LO service).
+// Baseline protocol tests: ISIS CBCAST and TO (go-back-n).
 #include <gtest/gtest.h>
 
 #include "src/baselines/baseline_clusters.h"
@@ -7,7 +7,6 @@ namespace co::baselines {
 namespace {
 
 using sim::literals::operator""_us;
-using sim::literals::operator""_ms;
 
 // ---------------------------------------------------------------------------
 // CBCAST
@@ -134,56 +133,6 @@ TEST(ToProtocol, LossyRunRecoversButRetransmitsInBulk) {
   for (EntityId e = 0; e < 3; ++e)
     EXPECT_EQ(causality::check_local_order_preserved(e, c.log(e)),
               std::nullopt);
-}
-
-// ---------------------------------------------------------------------------
-// PO protocol (LO service)
-// ---------------------------------------------------------------------------
-
-net::McConfig po_net(std::size_t n) {
-  net::McConfig cfg;
-  cfg.n = n;
-  cfg.delay = net::DelayModel::fixed(100_us);
-  cfg.buffer_capacity = 4096;
-  return cfg;
-}
-
-TEST(PoProtocol, LocalOrderPreservedUnderLoss) {
-  auto cfg = po_net(3);
-  cfg.injected_loss = 0.1;
-  cfg.seed = 5;
-  PoCluster c(3, cfg);
-  for (int i = 0; i < 15; ++i)
-    c.broadcast_text(static_cast<EntityId>(i % 3), "x" + std::to_string(i));
-  ASSERT_TRUE(c.run(60'000 * sim::kMillisecond));
-  for (EntityId e = 0; e < 3; ++e) {
-    EXPECT_EQ(causality::check_local_order_preserved(e, c.log(e)),
-              std::nullopt);
-    EXPECT_EQ(causality::check_information_preserved(e, c.log(e), c.sent()),
-              std::nullopt);
-  }
-}
-
-TEST(PoProtocol, ViolatesCausalOrderAcrossSources) {
-  // The LO service's defining gap (paper Fig. 2): E0 sends a (slow link to
-  // E2); E1 receives a and replies b (fast everywhere). PO delivers b before
-  // a at E2 — a causality violation the CO protocol would prevent.
-  std::vector<std::vector<sim::SimDuration>> d(3,
-                                               std::vector<sim::SimDuration>(
-                                                   3, 100 * sim::kMicrosecond));
-  d[0][2] = 900 * sim::kMicrosecond;
-  auto cfg = po_net(3);
-  cfg.delay = net::DelayModel::matrix(d);
-  PoCluster c(3, cfg);
-  c.broadcast_text(0, "a");
-  c.scheduler().run_until(300 * sim::kMicrosecond);  // E1 has a, E2 does not
-  c.broadcast_text(1, "b");
-  ASSERT_TRUE(c.run(10'000 * sim::kMillisecond));
-  const auto violation =
-      causality::check_causality_preserved(2, c.log(2), c.oracle());
-  ASSERT_TRUE(violation.has_value())
-      << "PO delivered causally — expected the LO-service violation";
-  EXPECT_EQ(violation->kind, "causality");
 }
 
 }  // namespace

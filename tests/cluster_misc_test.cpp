@@ -112,5 +112,38 @@ TEST(ClusterMisc, UndeliveredBufferedDrainsToControlResidue) {
   }
 }
 
+TEST(ClusterMisc, DeliverOnAcceptKeepsLocalOrderButBreaksCausalOrder) {
+  // Delivering on acceptance is the LO service of the authors' earlier PO
+  // protocol [16]. On the paper's Fig. 2 shape it keeps each source's order
+  // but not causal order: E0 sends a over a slow link to E2, E1 accepts a
+  // and sends b, and E2 accepts b first. The real protocol delivers the
+  // same run causally.
+  std::vector<std::vector<sim::SimDuration>> d(
+      3, std::vector<sim::SimDuration>(3, 100_us));
+  d[0][2] = 900_us;  // a crawls to E2
+  for (const auto mutation : {Mutation::kDeliverOnAccept, Mutation::kNone}) {
+    auto o = opts(3);
+    o.net.delay = net::DelayModel::matrix(d);
+    o.proto.mutation = mutation;
+    CoCluster c(o);
+    c.submit_text(0, "a");
+    c.run_for(300_us);  // E1 has accepted a, E2 has not
+    c.submit_text(1, "b");
+    ASSERT_TRUE(c.run_until_delivered(10'000 * sim::kMillisecond));
+    for (EntityId e = 0; e < 3; ++e)
+      EXPECT_EQ(causality::check_local_order_preserved(e, c.delivered_keys(e)),
+                std::nullopt);
+    const auto violation = c.check_co_service();
+    if (mutation == Mutation::kNone) {
+      EXPECT_EQ(violation, std::nullopt) << violation->to_string();
+      continue;
+    }
+    ASSERT_TRUE(violation.has_value())
+        << "delivery on acceptance kept causal order";
+    EXPECT_EQ(violation->kind, "causality");
+    EXPECT_EQ(violation->entity, 2);
+  }
+}
+
 }  // namespace
 }  // namespace co::proto

@@ -68,12 +68,6 @@ TEST(Harness, ToExperimentCompletes) {
   EXPECT_EQ(r.retransmissions, 0u);  // loss-free
 }
 
-TEST(Harness, PoExperimentCompletes) {
-  const auto r = run_po_experiment(small_config());
-  EXPECT_TRUE(r.completed);
-  EXPECT_EQ(r.data_pdus, 60u);
-}
-
 TEST(Harness, DeferredAblationChangesTraffic) {
   auto cfg = small_config();
   cfg.workload.arrival = app::WorkloadConfig::Arrival::kUniform;
