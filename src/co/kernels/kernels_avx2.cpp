@@ -18,7 +18,7 @@ const KernelOps* avx2_ops() { return nullptr; }
 
 #include <immintrin.h>
 
-#include <cstring>
+#include <algorithm>
 
 #include "src/co/kernels/kernels_impl.h"
 
@@ -65,7 +65,7 @@ void v_column_mins(const SeqNo* table, std::size_t rows, std::size_t cols,
     for (std::size_t k = 0; k < cols; ++k) out[k] = ~SeqNo{0};
     return;
   }
-  std::memcpy(out, table, cols * sizeof(SeqNo));
+  std::copy_n(table, cols, out);
   for (std::size_t r = 1; r < rows; ++r) {
     const SeqNo* row = table + r * stride;
     std::size_t k = 0;

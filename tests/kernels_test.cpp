@@ -14,8 +14,8 @@
 //     8-byte-aligned-but-not-32 pointer must behave identically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -69,7 +69,7 @@ std::vector<SeqNo> make_vec(Rng& rng, std::size_t n, Dist d) {
 /// unaligned-load promise of every backend.
 struct Misaligned {
   explicit Misaligned(const std::vector<SeqNo>& src) : store(src.size() + 1) {
-    std::memcpy(store.data() + 1, src.data(), src.size() * sizeof(SeqNo));
+    std::copy(src.begin(), src.end(), store.begin() + 1);
   }
   SeqNo* data() { return store.data() + 1; }
   std::vector<SeqNo> store;
@@ -129,8 +129,7 @@ TEST(Kernels, MergeMaxMatchesScalar) {
           EXPECT_EQ(dirty_s, dirty_v) << ctx(ops, n, d, rep);
           EXPECT_EQ(dirty_s, dirty_vm) << ctx(ops, n, d, rep) << " misaligned";
           EXPECT_EQ(row_s, row_v) << ctx(ops, n, d, rep);
-          EXPECT_TRUE(std::memcmp(row_s.data(), row_vm.data(),
-                                  n * sizeof(SeqNo)) == 0)
+          EXPECT_TRUE(std::equal(row_s.begin(), row_s.end(), row_vm.data()))
               << ctx(ops, n, d, rep) << " misaligned";
         }
       }
@@ -151,8 +150,7 @@ TEST(Kernels, ColumnMinsMatchesScalar) {
           std::vector<SeqNo> table(rows * stride, ~SeqNo{0} - 1);
           for (std::size_t r = 0; r < rows; ++r) {
             const auto row = make_vec(rng, cols, d);
-            std::memcpy(table.data() + r * stride, row.data(),
-                        cols * sizeof(SeqNo));
+            std::copy(row.begin(), row.end(), table.begin() + r * stride);
           }
           std::vector<SeqNo> out_s(cols, 0xDEAD), out_v(cols, 0xBEEF);
           scalar().column_mins(table.data(), rows, cols, stride, out_s.data());
