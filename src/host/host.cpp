@@ -142,19 +142,6 @@ HostBuilder& HostBuilder::send_loss(double probability, std::uint64_t seed) {
   return *this;
 }
 
-HostBuilder& HostBuilder::submit_queue(std::size_t capacity) {
-  CO_EXPECT_MSG(capacity >= 1, "submission ring needs capacity >= 1");
-  submit_queue_capacity_ = capacity;
-  return *this;
-}
-
-HostBuilder& HostBuilder::recv_batch(std::size_t datagrams,
-                                     std::size_t slot_bytes) {
-  recv_batch_datagrams_ = datagrams;
-  recv_slot_bytes_ = slot_bytes;
-  return *this;
-}
-
 std::unique_ptr<Host> HostBuilder::build() {
   proto_.validate();
   CO_EXPECT_MSG(!entities_.empty(), "a host needs at least one local entity");
@@ -201,8 +188,6 @@ std::unique_ptr<Host> HostBuilder::build() {
     cfg.send_loss_probability = send_loss_;
     // entities_[s] is the shard's first entity.
     cfg.loss_seed = loss_seed_ + static_cast<std::uint64_t>(entities_[s].id);
-    cfg.recv_batch_datagrams = recv_batch_datagrams_;
-    cfg.recv_slot_bytes = recv_slot_bytes_;
     host->shards_.push_back(std::make_unique<Shard>(
         s, std::move(cfg), &host->peers_, &host->deliver_, host->epoch_));
     host->shards_.back()->set_spin(spin);
@@ -222,7 +207,6 @@ std::unique_ptr<Host> HostBuilder::build() {
     cfg.id = id;
     cfg.proto = proto_;
     cfg.observer = observer_;
-    cfg.submit_queue_capacity = submit_queue_capacity_;
 
     Shard& shard = *host->shards_[i % shard_count];
     host->by_entity_[static_cast<std::size_t>(id)] =

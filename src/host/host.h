@@ -187,10 +187,6 @@ class HostBuilder {
   /// have alone. In-process delivery within a shard is never lost.
   HostBuilder& send_loss(double probability,
                          std::uint64_t seed = Rng::kDefaultSeed);
-  /// Capacity of each entity's SPSC submission ring.
-  HostBuilder& submit_queue(std::size_t capacity);
-  /// Receive batching: datagrams per recvmmsg burst / bytes per slot.
-  HostBuilder& recv_batch(std::size_t datagrams, std::size_t slot_bytes);
 
   /// Validate and bind: returns a Host in the `bound` state. Returns a
   /// unique_ptr because shards pin the host's peer table address.
@@ -210,9 +206,6 @@ class HostBuilder {
   obs::trace::Tracer* tracer_ = nullptr;
   double send_loss_ = 0.0;
   std::uint64_t loss_seed_ = Rng::kDefaultSeed;
-  std::size_t submit_queue_capacity_ = kDefaultSubmitQueueCapacity;
-  std::size_t recv_batch_datagrams_ = 32;
-  std::size_t recv_slot_bytes_ = 2048;
 };
 
 }  // namespace co::host

@@ -20,7 +20,7 @@ EntityRuntime::EntityRuntime(EntityRuntimeConfig config, Shard& shard)
     : id_(config.id),
       shard_(shard),
       observer_(config.observer),
-      submissions_(config.submit_queue_capacity) {
+      submissions_(kSubmitQueueCapacity) {
   CO_EXPECT(id_ >= 0 && static_cast<std::size_t>(id_) < config.proto.n);
 
   // Unobserved entities keep the core's null observer: no per-record work.
@@ -70,8 +70,7 @@ Shard::Shard(std::size_t index, ShardConfig config,
       tracer_(config.tracer),
       send_loss_probability_(config.send_loss_probability),
       loss_rng_(config.loss_seed),
-      recv_batch_(config.recv_batch_datagrams, config.recv_slot_bytes),
-      frame_budget_(std::min(kMaxFrameBytes, config.recv_slot_bytes)) {
+      recv_batch_(kRecvBatchDatagrams, kRecvSlotBytes) {
   CO_EXPECT(peers_ != nullptr);
   CO_EXPECT_MSG(socket_.is_open(), "shard socket must be bound");
   endpoint_ = socket_.local_endpoint();
@@ -107,7 +106,7 @@ void Shard::broadcast_from(EntityId from, const proto::Message& msg) {
   if (dests_.empty()) return;  // every entity is here: nothing to pack
   const std::size_t held = frame_.size();
   proto::encode_append(msg, frame_);
-  if (held != 0 && frame_.size() > frame_budget_) {
+  if (held != 0 && frame_.size() > kMaxFrameBytes) {
     // Over budget: ship the frame as it stood and let this message open
     // the next one.
     send_frame(held, frame_msgs_);

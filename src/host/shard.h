@@ -34,10 +34,9 @@
 // that share an endpoint share the datagram). A frame is flushed when a
 // phase of the loop is done — after the ring-drain and timer loop over the
 // entities, after the socket ingest, and in the shutdown drain — so it
-// never waits across ppoll(2). A frame holds at most min(kMaxFrameBytes,
-// the RecvBatch slot size) bytes; a message that would overflow it ships
-// the frame first and opens the next, and a message larger than the budget
-// on its own goes out alone. One frame in emission order is what keeps a
+// never waits across ppoll(2). A frame holds at most kMaxFrameBytes bytes;
+// a message that would overflow it ships the frame first and opens the
+// next, and a message larger than that on its own goes out alone. One frame in emission order is what keeps a
 // confirmation behind the PDU it confirms: an entity that accepts p
 // in-process and confirms it emits the confirmation after p, so the two
 // leave this socket in that order (on a host of two shards, no entity can
@@ -169,10 +168,14 @@ inline constexpr std::chrono::microseconds kDefaultSpin{100};
 inline constexpr std::chrono::milliseconds kIdlePollCap{500};
 
 /// Largest frame a shard packs: one Ethernet MTU's UDP payload (1500 B
-/// minus the 20-byte IPv4 and 8-byte UDP headers). A shard further caps
-/// its frames at its own RecvBatch slot size, so a receiver built with the
-/// same config never truncates one.
+/// minus the 20-byte IPv4 and 8-byte UDP headers).
 inline constexpr std::size_t kMaxFrameBytes = 1472;
+
+/// Receive batching: datagrams per recvmmsg(2) burst and bytes per slot. A
+/// slot holds the largest frame, so no shard truncates another's.
+inline constexpr std::size_t kRecvBatchDatagrams = 32;
+inline constexpr std::size_t kRecvSlotBytes = 2048;
+static_assert(kMaxFrameBytes <= kRecvSlotBytes);
 
 /// The ppoll(2) timeout, in nanoseconds, for an event loop that wants to
 /// sleep at most `cap_ms` but no longer than until `earliest` (the next
@@ -185,8 +188,8 @@ inline constexpr std::size_t kMaxFrameBytes = 1472;
 std::int64_t clamped_poll_wait_ns(std::int64_t cap_ms, time::Tick now,
                                   std::optional<time::Deadline> earliest);
 
-/// Default capacity of an entity's SPSC submission ring.
-inline constexpr std::size_t kDefaultSubmitQueueCapacity = 1024;
+/// Capacity of an entity's SPSC submission ring.
+inline constexpr std::size_t kSubmitQueueCapacity = 1024;
 
 /// Free ingress-buffer units every entity advertises as BUF. Real sockets
 /// expose no portable count, so this is a generous constant: the kernel
@@ -200,8 +203,6 @@ struct EntityRuntimeConfig {
   /// Shared user observer (nullable; callbacks run on the shard thread, so
   /// an observer shared across shards must be thread-safe).
   proto::CoObserver* observer = nullptr;
-  /// Capacity of the SPSC submission ring (rounded up to a power of two).
-  std::size_t submit_queue_capacity = kDefaultSubmitQueueCapacity;
 };
 
 /// Everything one shard needs, assembled by HostBuilder.
@@ -216,9 +217,6 @@ struct ShardConfig {
   /// frame to one destination endpoint; in-process copies are never lost.
   double send_loss_probability = 0.0;
   std::uint64_t loss_seed = Rng::kDefaultSeed;
-  /// Receive batching: datagrams per recvmmsg burst / bytes per slot.
-  std::size_t recv_batch_datagrams = 32;
-  std::size_t recv_slot_bytes = 2048;
 };
 
 class Shard;
@@ -409,8 +407,6 @@ class Shard {
   // pollfds_[0] is the wakeup doorbell, pollfds_[1] the socket.
   std::array<pollfd, 2> pollfds_{};
   transport::RecvBatch recv_batch_;
-  // min(kMaxFrameBytes, the RecvBatch slot size).
-  std::size_t frame_budget_;
   // The frame being packed: the encodings of the shard's broadcasts of
   // the current phase, back to back, and how many there are.
   std::vector<std::uint8_t> frame_;

@@ -32,7 +32,7 @@ using namespace std::chrono_literals;
 class HostHarness {
  public:
   HostHarness(std::size_t n, std::size_t shards, double send_loss,
-              obs::trace::Tracer* tracer, std::size_t recv_slot_bytes = 2048,
+              obs::trace::Tracer* tracer,
               const proto::CoConfig& proto = oracle_test_config())
       : oracle_(n) {
     HostBuilder builder(n);
@@ -41,7 +41,6 @@ class HostHarness {
         .send_loss(send_loss, /*seed=*/1000)
         .tracer(tracer)
         .observer(&oracle_)
-        .recv_batch(32, recv_slot_bytes)
         .deliver(oracle_.deliver_fn());
     for (std::size_t i = 0; i < n; ++i)
       builder.entity(static_cast<EntityId>(i));
@@ -163,12 +162,11 @@ TEST(HostRuntime, SubmitBackpressureCountsRejections) {
   auto host = HostBuilder(2)
                   .entity(0)
                   .entity(1)
-                  .submit_queue(4)
                   .deliver([](EntityId, EntityId,
                               const std::vector<std::uint8_t>&) {})
                   .build();
-  for (int i = 0; i < 4; ++i)
-    EXPECT_EQ(host->submit(0, {1, 2, 3}), SubmitResult::kAccepted);
+  for (std::size_t i = 0; i < kSubmitQueueCapacity; ++i)
+    ASSERT_EQ(host->submit(0, {1, 2, 3}), SubmitResult::kAccepted);
   EXPECT_EQ(host->submit(0, {1, 2, 3}), SubmitResult::kQueueFull);
   EXPECT_EQ(host->submit(0, {1, 2, 3}), SubmitResult::kQueueFull);
   EXPECT_EQ(host->shard(0).entity(0).submit_rejected(), 2u);
@@ -247,14 +245,12 @@ TEST(HostRuntime, ClampedPollWaitMsNeverWrapsNegative) {
 // decoder as a silently-clipped prefix — and the entity must keep working.
 TEST(HostRuntime, OversizedDatagramIsCountedNotMisparsed) {
   HostHarness h(2, 2, 0.0, nullptr);  // E0 and E1 on shards of their own
-  // Shrink the receive slots AFTER build? No — recv_batch is a builder
-  // knob; use a raw socket to lob a datagram bigger than the default slot.
+  // Lob a datagram bigger than a receive slot from a raw socket.
   h.host().start();
 
   transport::UdpSocket attacker;
   attacker.bind_loopback(0);
-  // Default slot is 2048 bytes; 4096 guarantees truncation on any path.
-  const std::vector<std::uint8_t> oversized(4096, 0xEE);
+  const std::vector<std::uint8_t> oversized(2 * kRecvSlotBytes, 0xEE);
   ASSERT_TRUE(attacker.send_to(h.host().endpoint(0), oversized));
 
   // Loopback send_to is synchronous: the junk already sits in entity 0's
@@ -403,17 +399,16 @@ obs::trace::TracerConfig streaming() {
   return cfg;
 }
 
-// Frames never outgrow the receive slot. With 512-byte slots the frame
-// budget is 512 bytes; each shard's first pass packs twelve ~230-byte data
-// PDUs (six from each of its two entities), which takes several frames,
-// and no receiver built with the same config may see a truncated datagram.
+// Frames never outgrow kMaxFrameBytes. Each shard's first pass packs
+// twelve ~230-byte data PDUs (six from each of its two entities), more
+// than one frame holds, so the pass takes several frames, and no receiver
+// may see a truncated datagram.
 TEST(HostRuntime, FramesFitSmallReceiveSlots) {
   constexpr std::size_t kN = 4;
   constexpr int kRounds = 6;
-  constexpr std::size_t kSlot = 512;
   FrameTally tally;
   obs::trace::Tracer tracer(streaming(), &tally);
-  HostHarness h(kN, 2, /*send_loss=*/0.0, &tracer, kSlot);
+  HostHarness h(kN, 2, /*send_loss=*/0.0, &tracer);
   for (int round = 0; round < kRounds; ++round)
     for (EntityId e = 0; e < static_cast<EntityId>(kN); ++e)
       h.submit(e, /*payload_bytes=*/200);
@@ -427,7 +422,7 @@ TEST(HostRuntime, FramesFitSmallReceiveSlots) {
     EXPECT_EQ(w.truncated_datagrams, 0u) << "shard " << s;
     EXPECT_EQ(w.decode_errors, 0u) << "shard " << s;
   }
-  EXPECT_LE(tally.largest, kSlot);
+  EXPECT_LE(tally.largest, kMaxFrameBytes);
   EXPECT_GT(tally.messages, tally.frames);  // some frames held several PDUs
   EXPECT_EQ(h.oracle().check_co_service(), std::nullopt);
 }
@@ -591,7 +586,7 @@ TEST(HostRuntime, NoFalseF2AcrossTwoShards) {
   proto::CoConfig pcfg = oracle_test_config();
   pcfg.defer_timeout = 50 * time::kMillisecond;
   pcfg.retransmit_timeout = 200 * time::kMillisecond;
-  HostHarness h(kN, 2, /*send_loss=*/0.0, nullptr, 2048, pcfg);
+  HostHarness h(kN, 2, /*send_loss=*/0.0, nullptr, pcfg);
   ASSERT_EQ(h.host().shard_count(), 2u);
   for (std::size_t round = 0; round < kBurst; ++round)
     for (EntityId e = 0; e < static_cast<EntityId>(kN); ++e) h.submit(e);
@@ -642,7 +637,7 @@ TEST(HostRuntime, WarmSingleSubmitsOutrunTheDeferTimer) {
   pcfg.defer_timeout = 200 * time::kMillisecond;
   pcfg.retransmit_timeout = 1000 * time::kMillisecond;
   const auto bound = std::chrono::nanoseconds(pcfg.defer_timeout / 10);
-  HostHarness h(kN, 2, /*send_loss=*/0.0, nullptr, 2048, pcfg);
+  HostHarness h(kN, 2, /*send_loss=*/0.0, nullptr, pcfg);
   h.host().start();
   // Warm-up: a cold entity has heard from no one since its last send, so
   // the first exchange falls back to the timer.
