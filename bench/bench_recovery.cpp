@@ -11,6 +11,17 @@
 //  (2) for CO we verify concurrent traffic kept flowing during recovery:
 //      deliveries of OTHER sources' PDUs continue between the loss and its
 //      recovery (measured via delivery timestamps).
+//
+// Shape gate (ctest runs this bench): in (1), CO must complete at every
+// burst rate and retransmit fewer PDUs than TO at 5% and 15% (reads 85 vs
+// 104 and 381 vs 541); in (2), the run must complete, and before the
+// victim reaches E2, E1 must send more than one window (W = 8) of data PDUs
+// (reads 11 of 20) and E2 must accept more than one window of PDUs (reads
+// 66; a receiver that discarded everything behind the gap would not). A
+// failure is named on stderr and the exit status is 1, so a passing run
+// prints exactly the report. (1)'s completion time is not gated: TO
+// finishes first at 15% (40.0 vs 96.3 ms), because CO's acknowledgment
+// pipeline (two full rounds per delivery) pays more per lost confirmation.
 #include <algorithm>
 #include <iostream>
 
@@ -21,6 +32,7 @@
 int main() {
   using namespace co;
 
+  bool shape_holds = true;
   std::cout << "=== E8 (1): loss burst mid-stream, CO vs TO ===\n\n";
   {
     Table table({"burst", "proto", "retransmitted", "completion [ms]",
@@ -44,6 +56,17 @@ int main() {
                        pr->completed
                            ? Table::num(pr->delivered_msgs_per_sim_s, 0)
                            : "-"});
+      }
+      if (!co_r.completed) {
+        std::cerr << "E8 shape gate failed at burst " << loss
+                  << ": CO did not complete\n";
+        shape_holds = false;
+      }
+      if (loss > 0.0 && !(co_r.retransmissions < to_r.retransmissions)) {
+        std::cerr << "E8 shape gate failed at burst " << loss << ": CO resent "
+                  << co_r.retransmissions << " PDUs, TO "
+                  << to_r.retransmissions << " (want CO < TO)\n";
+        shape_holds = false;
       }
     }
     table.print(std::cout);
@@ -105,6 +128,24 @@ int main() {
                  "accepting throughout recovery (no go-back-n discard/stall); "
                  "only DELIVERY of causal dependents waits, then releases at "
                  "once.\n";
+    if (!ok) {
+      std::cerr << "E8 shape gate failed: the recovery run did not complete\n";
+      shape_holds = false;
+    }
+    if (e1_sent_before_victim <= o.proto.window) {
+      std::cerr << "E8 shape gate failed: E1 sent " << e1_sent_before_victim
+                << " data PDUs before the victim reached E2 (want more than "
+                   "one window, "
+                << o.proto.window << ")\n";
+      shape_holds = false;
+    }
+    if (accepted_before_victim <= o.proto.window) {
+      std::cerr << "E8 shape gate failed: E2 accepted "
+                << accepted_before_victim
+                << " PDUs during the outage (want more than one window, "
+                << o.proto.window << ")\n";
+      shape_holds = false;
+    }
   }
-  return 0;
+  return shape_holds ? 0 : 1;
 }

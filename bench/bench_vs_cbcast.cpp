@@ -10,6 +10,15 @@
 //      clock, the PDU loss cannot be detected." — demonstrated by running
 //      both on a lossy network: CO detects + recovers and completes; CBCAST
 //      silently stalls with messages stuck in its delay queues.
+//
+// Shape gate (ctest runs this bench): at 1%, 5% and 10% loss, CO must
+// complete and CBCAST must stall with at least one message stuck in its
+// delay queues (reads 300, 486 and 482). A failure is named on stderr and
+// the exit status is 1, so a passing run prints exactly the tables. (a) is
+// not gated: its cells are nanosecond wall-clock timings, which moved by up
+// to 2.3x between back-to-back runs on a shared 4-core VM (the O(1) test
+// read 1.65-3.78 ns, not monotone in n), so a bound loose enough to pass
+// there would say little.
 #include <chrono>
 #include <iostream>
 
@@ -25,7 +34,6 @@ struct CbcastRun {
   bool completed = false;
   double proc_us_per_msg = 0.0;
   std::uint64_t stuck = 0;     // messages still in delay queues
-  std::uint64_t undelivered = 0;
 };
 
 CbcastRun run_cbcast(std::size_t n, double loss, std::uint64_t seed,
@@ -45,16 +53,13 @@ CbcastRun run_cbcast(std::size_t n, double loss, std::uint64_t seed,
   }
   CbcastRun r;
   r.completed = cluster.run(600'000 * sim::kMillisecond);
-  std::uint64_t delivered = 0, received = 0, proc_ns = 0;
+  std::uint64_t received = 0, proc_ns = 0;
   for (std::size_t e = 0; e < n; ++e) {
     const auto& s = cluster.entity(static_cast<EntityId>(e)).stats();
-    delivered += s.delivered;
     received += s.received;
     proc_ns += s.processing_ns;
     r.stuck += cluster.entity(static_cast<EntityId>(e)).delay_queue_size();
   }
-  r.undelivered =
-      static_cast<std::uint64_t>(n) * cluster.sent().size() - delivered;
   if (received) r.proc_us_per_msg = static_cast<double>(proc_ns) / 1e3 /
                                     static_cast<double>(received);
   return r;
@@ -124,8 +129,9 @@ int main() {
   std::cout << "\n=== E7b: behaviour under PDU loss ===\n"
             << "(CO detects loss from SEQ/ACK and recovers; CBCAST's virtual "
                "clocks cannot detect loss at all.)\n\n";
+  bool shape_holds = true;
   {
-    Table table({"loss", "CO completed", "CO undelivered", "CBCAST completed",
+    Table table({"loss", "CO completed", "CBCAST completed",
                  "CBCAST stuck msgs"});
     for (const double loss : {0.01, 0.05, 0.10}) {
       harness::ExperimentConfig cfg;
@@ -140,14 +146,25 @@ int main() {
       const auto co_r = harness::run_co_experiment(cfg);
       const auto cb = run_cbcast(4, loss, cfg.seed, 50);
       table.add_row({Table::num(loss, 2), co_r.completed ? "yes" : "NO",
-                     Table::num(std::uint64_t{0}),
                      cb.completed ? "yes (lucky)" : "NO (stalled)",
                      Table::num(cb.stuck)});
+      if (!co_r.completed) {
+        std::cerr << "E7b shape gate failed at loss " << loss
+                  << ": CO did not complete\n";
+        shape_holds = false;
+      }
+      if (cb.completed || cb.stuck == 0) {
+        std::cerr << "E7b shape gate failed at loss " << loss
+                  << ": CBCAST did not stall (completed: "
+                  << (cb.completed ? "yes" : "no") << ", stuck messages: "
+                  << cb.stuck << ")\n";
+        shape_holds = false;
+      }
     }
     table.print(std::cout);
     std::cout << "Expected shape: CO completes at every loss rate; CBCAST "
                  "stalls with undeliverable messages as soon as anything is "
                  "lost.\n";
   }
-  return 0;
+  return shape_holds ? 0 : 1;
 }
