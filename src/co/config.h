@@ -27,8 +27,8 @@ enum class Mutation {
   /// bare rules, known to violate the CO service under loss (the
   /// `bench_ablation` A1 table counts how often).
   kNoCausalGate,
-  /// Deliver data to the application at acceptance, bypassing PRL ordering
-  /// entirely (the PO baseline's behaviour).
+  /// Deliver data at acceptance, bypassing PRL ordering: the LO service of
+  /// the authors' earlier PO protocol [16] (source order, not causal order).
   kDeliverOnAccept,
   /// Ignore the PACK condition p.SEQ < minAL_j: pre-acknowledge on accept.
   kIgnorePackCondition,
