@@ -36,12 +36,13 @@
 // entities, after the socket ingest, and in the shutdown drain — so it
 // never waits across ppoll(2). A frame holds at most kMaxFrameBytes bytes;
 // a message that would overflow it ships the frame first and opens the
-// next, and a message larger than that on its own goes out alone. One frame in emission order is what keeps a
-// confirmation behind the PDU it confirms: an entity that accepts p
-// in-process and confirms it emits the confirmation after p, so the two
-// leave this socket in that order (on a host of two shards, no entity can
-// see a confirmation of p before p). Inbound, arrivals are drained with
-// recvmmsg into a reused RecvBatch, each datagram is decoded once, all or
+// next, and a message larger than that on its own goes out alone. One
+// frame in emission order is what keeps a confirmation behind the PDU it
+// confirms: an entity that accepts p in-process and confirms it emits the
+// confirmation after p, so the two leave this socket in that order (on a
+// host of two shards, no entity can see a confirmation of p before p).
+// Inbound, arrivals are drained with recvmmsg into a reused RecvBatch of
+// kRecvBatchDatagrams slots, each datagram is decoded once, all or
 // nothing, and every entity takes the whole burst as ONE step (the
 // receipt-pipeline amortization). A message is dropped at this edge if its
 // src is an entity of this shard or if the datagram did not come from
